@@ -10,21 +10,25 @@ address bit — selecting which physical-address bit feeds it.
 
 The controller also owns the functional data path: reads and writes take a
 ``(physical address, MapID)`` pair — as delivered by the page-table walk —
-and move bytes to/from the per-bank arrays of a :class:`PhysicalMemory`.
+turn it into one global byte index per byte (:meth:`MemoryController.
+flat_index`, two cached table lookups per byte) and move the bytes with a
+single gather or scatter on the flat store of a :class:`PhysicalMemory`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
     from repro.reliability.ecc import EccEngine
 
-from repro.core.bitfield import ilog2
+from repro.core.bitfield import extract_bits_array, ilog2
 from repro.core.mapping import (
+    FIELDS,
     AddressMapping,
     CONVENTIONAL_SPEC,
     Field,
@@ -34,12 +38,111 @@ from repro.dram.address import DramCoord
 from repro.dram.config import DramOrganization
 from repro.dram.memory import PhysicalMemory
 
-__all__ = ["MappingTable", "MemoryController", "MuxSpec"]
+__all__ = ["MappingTable", "MemoryController", "MuxSpec", "page_flat_index"]
 
 CONVENTIONAL_MAP_ID = 0
 
 #: Chunk size for vectorised byte moves, bounding temporary memory.
 _MOVE_CHUNK = 1 << 22
+
+#: In-page offset bits covered by a mapping's low index table (4096
+#: entries); the high table covers the remaining page bits.
+_INDEX_LO_BITS = 12
+
+
+def _row_error(pa: int, row: int, org: DramOrganization) -> ValueError:
+    return ValueError(
+        f"pa {pa:#x} maps to row {row}, beyond the organization's "
+        f"{org.rows_per_bank} rows per bank"
+    )
+
+
+def _check_rows(pas: np.ndarray, rows: np.ndarray, org: DramOrganization) -> None:
+    """Raise for the first address whose DRAM row is past the bank."""
+    bad = np.flatnonzero(rows >= org.rows_per_bank)
+    if bad.size:
+        raise _row_error(int(pas[bad[0]]), int(rows[bad[0]]), org)
+
+
+@lru_cache(maxsize=64)
+def _index_tables(
+    org: DramOrganization, page_bits: int, layout: Tuple[Tuple[int, ...], ...]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """In-page global byte index as ``lo[low bits] + hi[high bits]``.
+
+    Exact: every DRAM field takes a disjoint set of offset bits and the
+    index (bank, row, column, transfer offset, each times its stride) is
+    linear in the fields, so the low and high bits contribute
+    independently.  Keyed on content — organization, page size and
+    routing — never on a MapID slot, which the table recycles.
+    """
+    mapping = AddressMapping(
+        name="", n_bits=page_bits, fields=dict(zip(FIELDS, layout))
+    )
+    lo_bits = min(page_bits, _INDEX_LO_BITS)
+
+    def in_page_index(offsets: np.ndarray) -> np.ndarray:
+        fields = mapping.decode_array(offsets)
+        bank_id = org.bank_id(
+            fields[Field.CHANNEL], fields[Field.RANK], fields[Field.BANK]
+        )
+        index: np.ndarray = (
+            bank_id * org.bank_bytes
+            + fields[Field.ROW] * org.row_bytes
+            + fields[Field.COL] * org.transfer_bytes
+            + fields[Field.OFFSET]
+        )
+        index.flags.writeable = False
+        return index
+
+    lo = in_page_index(np.arange(1 << lo_bits, dtype=np.int64))
+    hi = in_page_index(
+        np.arange(1 << (page_bits - lo_bits), dtype=np.int64) << np.int64(lo_bits)
+    )
+    return lo, hi
+
+
+def page_flat_index(
+    org: DramOrganization,
+    page_bits: int,
+    layout: Tuple[Tuple[int, ...], ...],
+    pa: int,
+    nbytes: int,
+) -> np.ndarray:
+    """Global byte index of every byte of ``[pa, pa + nbytes)`` routed
+    through the mapping whose :attr:`~repro.core.mapping.AddressMapping.
+    layout_key` is *layout*: ``bank_id * bank_bytes + row * row_bytes +
+    col * transfer_bytes + offset``, the page frame number supplying the
+    row MSBs.  The range may cross pages.  Counts no translations — see
+    :meth:`MemoryController.flat_index`.
+
+    Raises:
+        ValueError: if a byte's row is past ``org.rows_per_bank``.
+    """
+    if nbytes <= 0:
+        return np.empty(0, dtype=np.int64)
+    lo, hi = _index_tables(org, page_bits, layout)
+    row_positions = layout[FIELDS.index(Field.ROW)]
+    row_bits = len(row_positions)
+    stop = pa + nbytes
+    # Only a range reaching a page frame whose top rows pass the bank can
+    # overflow; check those byte by byte, as translate_array does.
+    if (((stop - 1) >> page_bits) + 1) << row_bits > org.rows_per_bank:
+        pas = np.arange(pa, stop, dtype=np.int64)
+        rows = extract_bits_array(
+            pas & np.int64((1 << page_bits) - 1), row_positions
+        ) | ((pas >> np.int64(page_bits)) << np.int64(row_bits))
+        _check_rows(pas, rows, org)
+    lo_bits = min(page_bits, _INDEX_LO_BITS)
+    hi_bits = page_bits - lo_bits
+    first = pa >> lo_bits
+    blocks = np.arange(first, ((stop - 1) >> lo_bits) + 1, dtype=np.int64)
+    base = hi[blocks & np.int64((1 << hi_bits) - 1)] + (
+        blocks >> np.int64(hi_bits)
+    ) * np.int64(org.row_bytes << row_bits)
+    index = (base[:, None] + lo).reshape(-1)
+    start = pa - (first << lo_bits)
+    return index[start : start + nbytes]
 
 
 @dataclass(frozen=True)
@@ -227,9 +330,11 @@ class MemoryController:
         *registry* (a :class:`repro.telemetry.MetricsRegistry`)."""
         self.metrics = registry
 
-    def _note_translations(
-        self, map_id: int, pages: Sequence[int], n_translations: int
+    def note_translations(
+        self, map_id: int, pages: Iterable[int], n_translations: int
     ) -> None:
+        """Count *n_translations* through *map_id* over the sorted page
+        indices *pages* (also for callers replaying a cached plan)."""
         registry = self.metrics
         if registry is None:
             return
@@ -281,14 +386,11 @@ class MemoryController:
         mapping = self.table[map_id]
         page_index, page_offset = divmod(pa, self.page_bytes)
         if self.metrics is not None:
-            self._note_translations(map_id, (page_index,), 1)
+            self.note_translations(map_id, (page_index,), 1)
         coord = mapping.decode(page_offset)
         row = (page_index << self._row_bits_in_page) | coord.row
         if row >= self.org.rows_per_bank:
-            raise ValueError(
-                f"pa {pa:#x} maps to row {row}, beyond the organization's "
-                f"{self.org.rows_per_bank} rows per bank"
-            )
+            raise _row_error(pa, row, self.org)
         return DramCoord(
             channel=coord.channel,
             rank=coord.rank,
@@ -302,12 +404,16 @@ class MemoryController:
         self, pas: np.ndarray, map_id: int = CONVENTIONAL_MAP_ID
     ) -> Dict[str, np.ndarray]:
         """Vectorised :meth:`translate`; returns field arrays, with ``row``
-        already including the page-frame MSBs."""
+        already including the page-frame MSBs.
+
+        The data path uses :meth:`flat_index`; this per-field form serves
+        the timing models and is the oracle the flat index is tested
+        against."""
         pas = np.asarray(pas, dtype=np.int64)
         mapping = self.table[map_id]
         page_index = pas >> np.int64(self.page_bits)
         if self.metrics is not None:
-            self._note_translations(
+            self.note_translations(
                 map_id,
                 [int(p) for p in np.unique(page_index)],
                 int(pas.size),
@@ -316,7 +422,27 @@ class MemoryController:
         fields[Field.ROW] = fields[Field.ROW] | (
             page_index << np.int64(self._row_bits_in_page)
         )
+        _check_rows(pas, fields[Field.ROW], self.org)
         return fields
+
+    def flat_index(
+        self, pa: int, nbytes: int, map_id: int = CONVENTIONAL_MAP_ID
+    ) -> np.ndarray:
+        """Global byte index (into :class:`PhysicalMemory`'s flat store)
+        of every byte of ``[pa, pa + nbytes)`` through *map_id*: one
+        int64 per byte, equal to what :meth:`translate_array` gives for
+        ``bank_id * bank_bytes + row * row_bytes + col * transfer_bytes +
+        offset``.  Built from the mapping's cached index tables; the
+        table entry is still read (and parity-checked) on every call and
+        every byte counts as one translation."""
+        mapping = self.table[map_id]
+        if self.metrics is not None and nbytes > 0:
+            first = pa >> self.page_bits
+            last = (pa + nbytes - 1) >> self.page_bits
+            self.note_translations(map_id, range(first, last + 1), nbytes)
+        return page_flat_index(
+            self.org, self.page_bits, mapping.layout_key, pa, nbytes
+        )
 
     # -- hardware view ------------------------------------------------------
 
@@ -361,28 +487,10 @@ class MemoryController:
         ) else np.ascontiguousarray(data).view(np.uint8).reshape(-1)
         for start in range(0, len(data), _MOVE_CHUNK):
             stop = min(start + _MOVE_CHUNK, len(data))
-            pas = np.arange(pa + start, pa + stop, dtype=np.int64)
-            fields = self.translate_array(pas, map_id)
-            byte_index = (
-                fields[Field.ROW] * self.org.row_bytes
-                + fields[Field.COL] * self.org.transfer_bytes
-                + fields[Field.OFFSET]
-            )
-            memory.scatter(
-                fields[Field.CHANNEL],
-                fields[Field.RANK],
-                fields[Field.BANK],
-                byte_index,
-                data[start:stop],
-            )
+            index = self.flat_index(pa + start, stop - start, map_id)
+            memory.scatter(index, data[start:stop])
             if self.ecc is not None:
-                self.ecc.protect(
-                    memory,
-                    fields[Field.CHANNEL],
-                    fields[Field.RANK],
-                    fields[Field.BANK],
-                    byte_index,
-                )
+                self.ecc.protect(memory, index)
 
     def read(
         self, pa: int, nbytes: int, map_id: int = CONVENTIONAL_MAP_ID
@@ -393,28 +501,11 @@ class MemoryController:
         out = np.empty(nbytes, dtype=np.uint8)
         for start in range(0, nbytes, _MOVE_CHUNK):
             stop = min(start + _MOVE_CHUNK, nbytes)
-            pas = np.arange(pa + start, pa + stop, dtype=np.int64)
-            fields = self.translate_array(pas, map_id)
-            byte_index = (
-                fields[Field.ROW] * self.org.row_bytes
-                + fields[Field.COL] * self.org.transfer_bytes
-                + fields[Field.OFFSET]
-            )
+            index = self.flat_index(pa + start, stop - start, map_id)
             if self.ecc is not None:
                 # Scrub + gather in one bank access: the returned bytes
                 # are corrected in flight, as real SECDED read logic is.
-                out[start:stop] = self.ecc.fetch(
-                    memory,
-                    fields[Field.CHANNEL],
-                    fields[Field.RANK],
-                    fields[Field.BANK],
-                    byte_index,
-                )
+                out[start:stop] = self.ecc.fetch(memory, index)
             else:
-                out[start:stop] = memory.gather(
-                    fields[Field.CHANNEL],
-                    fields[Field.RANK],
-                    fields[Field.BANK],
-                    byte_index,
-                )
+                out[start:stop] = memory.gather(index)
         return out

@@ -97,6 +97,13 @@ class AddressMapping:
         """In-page row bits (the page's share of the DRAM row index)."""
         return self.field_width(Field.ROW)
 
+    @property
+    def layout_key(self) -> Tuple[Tuple[int, ...], ...]:
+        """The routing alone, hashable: PA bit positions per field in
+        :data:`FIELDS` order.  Two mappings route every address the same
+        way iff their keys are equal (the name plays no part)."""
+        return tuple(self.positions(fname) for fname in FIELDS)
+
     # -- translation ---------------------------------------------------------
 
     def decode(self, pa: int) -> DramCoord:

@@ -10,6 +10,9 @@ the LPDDR5/LPDDR5X parts of the four platforms evaluated in the FACIL paper
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Tuple, TypeVar
+
+import numpy as np
 
 from repro.core.bitfield import ilog2
 
@@ -23,6 +26,9 @@ __all__ = [
     "lpddr5_organization",
     "TINY_ORG",
 ]
+
+#: a coordinate or an array of them
+_Index = TypeVar("_Index", int, np.ndarray)
 
 
 @dataclass(frozen=True)
@@ -83,6 +89,17 @@ class DramOrganization:
     def cols_per_row(self) -> int:
         """Column accesses (transfers) per DRAM row."""
         return self.row_bytes // self.transfer_bytes
+
+    def bank_id(self, channel: _Index, rank: _Index, bank: _Index) -> _Index:
+        """Flat bank number, channel-major (ints or numpy arrays); the
+        functional store keeps bank ``i`` at byte ``i * bank_bytes``."""
+        return (channel * self.ranks_per_channel + rank) * self.banks_per_rank + bank
+
+    def bank_key(self, bank_id: int) -> Tuple[int, int, int]:
+        """Inverse of :meth:`bank_id`: the ``(channel, rank, bank)`` key."""
+        channel, rem = divmod(bank_id, self.ranks_per_channel * self.banks_per_rank)
+        rank, bank = divmod(rem, self.banks_per_rank)
+        return (channel, rank, bank)
 
     # -- derived bit widths ------------------------------------------------
 

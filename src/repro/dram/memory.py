@@ -1,10 +1,15 @@
-"""Functional DRAM contents: per-bank byte arrays.
+"""Functional DRAM contents: one flat byte store for every bank.
 
 This is the *data* half of the DRAM simulator (the timing half lives in
-:mod:`repro.dram.system`).  Each bank is a ``rows x row_bytes`` byte array,
-allocated lazily, so end-to-end tests can store a matrix through one
-address mapping and read it back through another — the core correctness
-claim of FACIL.
+:mod:`repro.dram.system`).  Bank ``i`` (see
+:meth:`~repro.dram.config.DramOrganization.bank_id`) occupies bytes
+``[i * bank_bytes, (i + 1) * bank_bytes)`` of a single ``np.zeros`` array,
+laid out row-major as ``rows x row_bytes``.  The array is calloc'd, so
+banks nobody touches cost no resident memory, and a vectorised access is
+one fancy index over *global byte indices* (what
+:meth:`repro.core.controller.MemoryController.flat_index` returns).  End-
+to-end tests store a matrix through one address mapping and read it back
+through another — the core correctness claim of FACIL.
 
 Intended for the small/medium test geometries; a guard refuses to
 instantiate functional storage for multi-GB organizations, where only the
@@ -13,10 +18,11 @@ timing models are meaningful.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Tuple
+from typing import Iterator, Set, Tuple
 
 import numpy as np
 
+from repro.core.bitfield import ilog2
 from repro.dram.address import DramCoord
 from repro.dram.config import DramOrganization
 
@@ -39,30 +45,35 @@ class PhysicalMemory:
                 "smaller geometry for functional simulation"
             )
         self.org = org
-        self._banks: Dict[_BankKey, np.ndarray] = {}
+        self.bank_bytes = org.bank_bytes
+        self._bank_shift = np.int64(ilog2(org.bank_bytes))
+        self._store = np.zeros(org.capacity_bytes, dtype=np.uint8)
+        self._touched: Set[int] = set()
         #: reliability hook (see :mod:`repro.reliability.faults`): when
-        #: set, ``fault_hook.on_bank_access(key, array)`` runs on every
-        #: bank access, letting a fault injector re-assert stuck-at bits
-        #: before any reader (SoC, ECC scrubber, or PIM) sees the array.
+        #: set, ``fault_hook.on_bank_access(key, array)`` runs once per
+        #: touched bank on every access, letting a fault injector re-assert
+        #: stuck-at bits before any reader (SoC, ECC scrubber, or PIM)
+        #: sees the array.
         self.fault_hook = None
 
     # -- bank access -----------------------------------------------------
 
     def bank(self, channel: int, rank: int, bank: int) -> np.ndarray:
-        """The ``(rows, row_bytes)`` byte array of one bank (lazily zeroed)."""
+        """The ``(rows, row_bytes)`` byte array of one bank (a view into
+        the flat store, zero until written)."""
         key = (channel, rank, bank)
-        array = self._banks.get(key)
-        if array is None:
-            if not (
-                0 <= channel < self.org.n_channels
-                and 0 <= rank < self.org.ranks_per_channel
-                and 0 <= bank < self.org.banks_per_rank
-            ):
-                raise ValueError(f"bank key {key} out of range for {self.org}")
-            array = np.zeros(
-                (self.org.rows_per_bank, self.org.row_bytes), dtype=np.uint8
-            )
-            self._banks[key] = array
+        if not (
+            0 <= channel < self.org.n_channels
+            and 0 <= rank < self.org.ranks_per_channel
+            and 0 <= bank < self.org.banks_per_rank
+        ):
+            raise ValueError(f"bank key {key} out of range for {self.org}")
+        bank_id = self.org.bank_id(channel, rank, bank)
+        start = bank_id * self.bank_bytes
+        array = self._store[start : start + self.bank_bytes].reshape(
+            self.org.rows_per_bank, self.org.row_bytes
+        )
+        self._touched.add(bank_id)
         if self.fault_hook is not None:
             self.fault_hook.on_bank_access(key, array)
         return array
@@ -72,8 +83,25 @@ class PhysicalMemory:
         return self.bank(channel, rank, bank)[row]
 
     def touched_banks(self) -> Iterator[_BankKey]:
-        """Keys of banks that have been materialized."""
-        return iter(sorted(self._banks))
+        """Keys of banks that have been accessed."""
+        return iter([self.org.bank_key(bank_id) for bank_id in sorted(self._touched)])
+
+    def access(self, index: np.ndarray) -> np.ndarray:
+        """Record an access to every bank the global byte *index* array
+        touches — each bank once, in bank order, through :meth:`bank` when
+        a fault hook is set — and return the flat byte store."""
+        if self.fault_hook is None and len(self._touched) == self.org.total_banks:
+            return self._store  # nothing left to record
+        counts = np.bincount(
+            np.asarray(index, dtype=np.int64) >> self._bank_shift,
+            minlength=self.org.total_banks,
+        )
+        bank_ids = np.flatnonzero(counts).tolist()
+        self._touched.update(bank_ids)
+        if self.fault_hook is not None:
+            for bank_id in bank_ids:
+                self.bank(*self.org.bank_key(bank_id))
+        return self._store
 
     # -- scalar access ------------------------------------------------------
 
@@ -89,58 +117,10 @@ class PhysicalMemory:
 
     # -- vectorised access ----------------------------------------------------
 
-    def gather(
-        self,
-        channel: np.ndarray,
-        rank: np.ndarray,
-        bank: np.ndarray,
-        byte_index: np.ndarray,
-    ) -> np.ndarray:
-        """Read one byte per element of the coordinate arrays."""
-        out = np.empty(len(byte_index), dtype=np.uint8)
-        bank_id = self._bank_ids(channel, rank, bank)
-        for key_id in self._present_bank_ids(bank_id):
-            mask = bank_id == key_id
-            key = self._key_from_id(int(key_id))
-            flat = self.bank(*key).reshape(-1)
-            out[mask] = flat[byte_index[mask]]
-        return out
+    def gather(self, index: np.ndarray) -> np.ndarray:
+        """Read the byte at every global byte index."""
+        return self.access(index)[index]
 
-    def scatter(
-        self,
-        channel: np.ndarray,
-        rank: np.ndarray,
-        bank: np.ndarray,
-        byte_index: np.ndarray,
-        values: np.ndarray,
-    ) -> None:
-        """Write one byte per element of the coordinate arrays."""
-        bank_id = self._bank_ids(channel, rank, bank)
-        values = np.asarray(values, dtype=np.uint8)
-        for key_id in self._present_bank_ids(bank_id):
-            mask = bank_id == key_id
-            key = self._key_from_id(int(key_id))
-            flat = self.bank(*key).reshape(-1)
-            flat[byte_index[mask]] = values[mask]
-
-    def _bank_ids(
-        self, channel: np.ndarray, rank: np.ndarray, bank: np.ndarray
-    ) -> np.ndarray:
-        org = self.org
-        return (
-            channel * (org.ranks_per_channel * org.banks_per_rank)
-            + rank * org.banks_per_rank
-            + bank
-        )
-
-    def _present_bank_ids(self, bank_id: np.ndarray) -> np.ndarray:
-        """Distinct bank ids present in *bank_id* — the domain is tiny
-        (total_banks), so one bincount pass beats a sort/hash unique."""
-        counts = np.bincount(bank_id, minlength=self.org.total_banks)
-        return np.nonzero(counts)[0]
-
-    def _key_from_id(self, key_id: int) -> _BankKey:
-        org = self.org
-        channel, rem = divmod(key_id, org.ranks_per_channel * org.banks_per_rank)
-        rank, bank = divmod(rem, org.banks_per_rank)
-        return (channel, rank, bank)
+    def scatter(self, index: np.ndarray, values: np.ndarray) -> None:
+        """Write one byte per global byte index."""
+        self.access(index)[index] = np.asarray(values, dtype=np.uint8)

@@ -20,36 +20,17 @@ addresses is directly consumable by PIM with no re-layout.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import TYPE_CHECKING, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from repro.pim.chunk import ChunkSegment, enumerate_placements
+from repro.pim.chunk import GemvStats, placement_plan
 
 if TYPE_CHECKING:  # circular at runtime: pimalloc imports repro.pim
     from repro.core.pimalloc import PimTensor
 
 __all__ = ["GemvStats", "pim_gemv"]
-
-
-@dataclass
-class GemvStats:
-    """Operational counts gathered during functional execution; the timing
-    model's analytic counts are validated against these."""
-
-    chunks_processed: int = 0
-    rows_activated: int = 0
-    mac_transfers: int = 0
-    gb_loads_per_rank: Dict[Tuple[int, int], int] = field(default_factory=dict)
-    outputs_drained: int = 0
-    soc_reduced_rows: int = 0
-
-    @property
-    def total_gb_loads(self) -> int:
-        return sum(self.gb_loads_per_rank.values())
 
 
 def pim_gemv(tensor: "PimTensor", x: np.ndarray) -> Tuple[np.ndarray, GemvStats]:
@@ -71,13 +52,9 @@ def pim_gemv(tensor: "PimTensor", x: np.ndarray) -> Tuple[np.ndarray, GemvStats]
     if x.dtype.itemsize != matrix.dtype_bytes:
         raise ValueError("input element width does not match tensor")
 
-    allocator = tensor.allocator
-    memory = allocator.controller.memory
+    memory = tensor.allocator.controller.memory
     if memory is None:
         raise RuntimeError("functional PIM execution needs functional memory")
-    org = allocator.org
-    pim = allocator.pim
-    elems_per_segment = pim.chunk_row_bytes // matrix.dtype_bytes
 
     # Host side: pad the input and slice it into global-buffer segments.
     # Accumulation datapath: FP32 over FP16 products (AiM-style) for
@@ -85,43 +62,16 @@ def pim_gemv(tensor: "PimTensor", x: np.ndarray) -> Tuple[np.ndarray, GemvStats]
     x_padded = np.zeros(tensor.lda, dtype=x.dtype)
     x_padded[: matrix.cols] = x
     acc_dtype = np.float32 if matrix.kind == "float" else np.int64
-    x_acc = x_padded.astype(acc_dtype)
 
-    segments = enumerate_placements(tensor)
-    # Group by (rank-identity, needed segment): one GB load serves every
-    # bank of the rank for all its chunk rows using that segment.
-    by_gb: Dict[Tuple[int, int, int], List[ChunkSegment]] = {}
-    for seg in segments:
-        sid = seg.segment_id(elems_per_segment)
-        by_gb.setdefault((seg.channel, seg.rank, sid), []).append(seg)
-
+    plan = placement_plan(tensor)
+    # Every chunk-row segment's bytes straight from its bank row (one
+    # gather, after the fault hook has seen each touched bank), times the
+    # global-buffer segment its rank loaded, accumulated into the output
+    # registers in load order.
+    store = memory.access(plan.starts).view(matrix.numpy_dtype)
+    segments = sliding_window_view(store, plan.elems)[plan.starts // matrix.dtype_bytes]
+    weights = segments.astype(acc_dtype)
+    gb = x_padded.astype(acc_dtype).reshape(-1, plan.elems)[plan.inputs]
     y = np.zeros(matrix.rows, dtype=acc_dtype)
-    stats = GemvStats()
-    contributions: Dict[int, set] = {}
-
-    for (channel, rank, sid), group in sorted(by_gb.items()):
-        stats.gb_loads_per_rank[(channel, rank)] = (
-            stats.gb_loads_per_rank.get((channel, rank), 0) + 1
-        )
-        gb = x_acc[sid * elems_per_segment : (sid + 1) * elems_per_segment]
-        stats.rows_activated += len({(seg.pu, seg.row) for seg in group})
-        for seg in group:
-            row_bytes = memory.row(seg.channel, seg.rank, seg.bank, seg.row)
-            start = seg.col_start * org.transfer_bytes
-            stop = start + seg.n_transfers * org.transfer_bytes
-            weights = row_bytes[start:stop].view(matrix.numpy_dtype)
-            gb_off = seg.k_start - sid * elems_per_segment
-            partial = np.dot(
-                weights.astype(acc_dtype), gb[gb_off : gb_off + len(weights)]
-            )
-            if seg.m < matrix.rows:
-                y[seg.m] += partial
-                contributions.setdefault(seg.m, set()).add(seg.pu)
-            stats.chunks_processed += 1
-            stats.mac_transfers += seg.n_transfers
-
-    stats.outputs_drained = sum(len(pus) for pus in contributions.values())
-    stats.soc_reduced_rows = sum(
-        1 for pus in contributions.values() if len(pus) > 1
-    )
-    return y, stats
+    np.add.at(y, plan.rows, np.einsum("ij,ij->i", weights, gb))
+    return y, plan.gemv_stats()

@@ -16,9 +16,11 @@ MemoryController` to every aligned 8-byte word a read or write touches:
 * corrections and detections are counted **per bank**, feeding the
   chaos-campaign report and the health monitor.
 
-Check bytes live in a shadow store keyed by bank — the functional
-:class:`~repro.dram.memory.PhysicalMemory` models only the data bits, as
-real DRAM dies keep ECC bits in separate columns invisible to the host.
+Check bytes live in a shadow store, one byte per 8-byte word of the flat
+:class:`~repro.dram.memory.PhysicalMemory` store (which models only the
+data bits, as real DRAM dies keep ECC bits in separate columns invisible
+to the host).  Accesses arrive as global byte indices, so a word's bank is
+``word // (bank_bytes // 8)``.
 
 The encoder/decoder are fully vectorised: parity is computed by XOR
 folding over ``uint64`` lanes, so scrubbing a megabyte costs a handful of
@@ -27,7 +29,7 @@ numpy passes.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -175,7 +177,7 @@ class EccEngine:
     """
 
     def __init__(self) -> None:
-        self._shadow: Dict[Tuple[int, int, int], np.ndarray] = {}
+        self._shadow: Optional[np.ndarray] = None
         #: single-bit corrections performed, per bank
         self.corrected_by_bank: Dict[Tuple[int, int, int], int] = {}
         #: double-bit detections raised, per bank
@@ -191,107 +193,78 @@ class EccEngine:
 
     # -- internals ---------------------------------------------------------
 
-    def _shadow_for(
-        self, memory: "PhysicalMemory", key: Tuple[int, int, int]
-    ) -> np.ndarray:
-        shadow = self._shadow.get(key)
-        if shadow is None:
-            n_words = memory.bank(*key).size // WORD_BYTES
+    def _shadow_for(self, memory: "PhysicalMemory") -> np.ndarray:
+        if self._shadow is None:
             # A zero word encodes to a zero check byte, so untouched
-            # (lazily zeroed) DRAM is born consistent.
-            shadow = np.zeros(n_words, dtype=np.uint8)
-            self._shadow[key] = shadow
-        return shadow
+            # (zeroed) DRAM is born consistent.
+            self._shadow = np.zeros(
+                memory.org.capacity_bytes // WORD_BYTES, dtype=np.uint8
+            )
+        return self._shadow
 
     @staticmethod
-    def _by_bank(
+    def _count_by_bank(
         memory: "PhysicalMemory",
-        channel: np.ndarray,
-        rank: np.ndarray,
-        bank: np.ndarray,
-        byte_index: np.ndarray,
-    ):
-        bank_id = memory._bank_ids(channel, rank, bank)
-        for key_id in np.unique(bank_id):
-            key = memory._key_from_id(int(key_id))
-            words = np.unique(byte_index[bank_id == key_id] >> 3)
-            yield key, words
+        counter: Dict[Tuple[int, int, int], int],
+        words: np.ndarray,
+    ) -> None:
+        """Add one count per word to its bank's entry, in bank order."""
+        bank_ids, counts = np.unique(
+            words // (memory.bank_bytes // WORD_BYTES), return_counts=True
+        )
+        for bank_id, count in zip(bank_ids, counts):
+            key = memory.org.bank_key(int(bank_id))
+            counter[key] = counter.get(key, 0) + int(count)
 
     # -- controller entry points -------------------------------------------
 
-    def protect(
-        self,
-        memory: "PhysicalMemory",
-        channel: np.ndarray,
-        rank: np.ndarray,
-        bank: np.ndarray,
-        byte_index: np.ndarray,
-    ) -> None:
-        """Recompute check bytes for every word the write touched
-        (read-modify-write at word granularity, as real ECC DRAM does)."""
-        for key, words in self._by_bank(memory, channel, rank, bank, byte_index):
-            flat = memory.bank(*key).reshape(-1).view(np.uint64)
-            self._shadow_for(memory, key)[words] = secded_encode(flat[words])
+    def protect(self, memory: "PhysicalMemory", index: np.ndarray) -> None:
+        """Recompute check bytes for every word the write to the global
+        byte *index* touched (read-modify-write at word granularity, as
+        real ECC DRAM does)."""
+        words = np.unique(index >> 3)
+        store = memory.access(index).view(np.uint64)
+        self._shadow_for(memory)[words] = secded_encode(store[words])
 
-    def fetch(
-        self,
-        memory: "PhysicalMemory",
-        channel: np.ndarray,
-        rank: np.ndarray,
-        bank: np.ndarray,
-        byte_index: np.ndarray,
-    ) -> np.ndarray:
-        """Corrected read: verify/correct every word the read touches,
-        then return the requested bytes from the repaired arrays.
+    def fetch(self, memory: "PhysicalMemory", index: np.ndarray) -> np.ndarray:
+        """Corrected read: verify/correct every word the read of the
+        global byte *index* touches, then return the requested bytes from
+        the repaired store.
 
         Correcting and gathering in one bank access is what makes the
         correction *in flight*, as real SECDED logic is: a stuck-at cell
         (re-asserted by the fault hook on every bank access) still yields
         correct read data on every read, at one correction per read.
-        Corrections are also written back to the bank array (and the
-        shadow), so later raw-row PIM reads see the repaired data too.
+        Corrections are also written back to the store (and the shadow),
+        so later raw-row PIM reads see the repaired data too.
 
         Raises:
             UncorrectableEccError: if any touched word carries a
                 double-bit error (after correcting all single-bit ones).
         """
-        out = np.empty(len(byte_index), dtype=np.uint8)
-        bad: List[Tuple[Tuple[int, int, int], int]] = []
-        bank_id = memory._bank_ids(channel, rank, bank)
-        for key_id in np.unique(bank_id):
-            key = memory._key_from_id(int(key_id))
-            mask = bank_id == key_id
-            indices = byte_index[mask]
-            words = np.unique(indices >> 3)
-            flat_bytes = memory.bank(*key).reshape(-1)
-            flat = flat_bytes.view(np.uint64)
-            shadow = self._shadow_for(memory, key)
-            data, check, status = secded_decode(flat[words], shadow[words])
-            corrected = status == STATUS_CORRECTED
-            if corrected.any():
-                flat[words[corrected]] = data[corrected]
-                shadow[words[corrected]] = check[corrected]
-                self.corrected_by_bank[key] = self.corrected_by_bank.get(
-                    key, 0
-                ) + int(corrected.sum())
-            uncorrectable = status == STATUS_UNCORRECTABLE
-            if uncorrectable.any():
-                self.detected_by_bank[key] = self.detected_by_bank.get(
-                    key, 0
-                ) + int(uncorrectable.sum())
-                bad.extend((key, int(w)) for w in words[uncorrectable])
-            out[mask] = flat_bytes[indices]
-        if bad:
-            raise UncorrectableEccError(sorted(bad))
-        return out
+        store = memory.access(index)
+        flat = store.view(np.uint64)
+        shadow = self._shadow_for(memory)
+        words = np.unique(index >> 3)
+        data, check, status = secded_decode(flat[words], shadow[words])
+        corrected = status == STATUS_CORRECTED
+        if corrected.any():
+            fixed = words[corrected]
+            flat[fixed] = data[corrected]
+            shadow[fixed] = check[corrected]
+            self._count_by_bank(memory, self.corrected_by_bank, fixed)
+        bad_words = words[status == STATUS_UNCORRECTABLE]
+        if bad_words.size:
+            self._count_by_bank(memory, self.detected_by_bank, bad_words)
+            words_per_bank = memory.bank_bytes // WORD_BYTES
+            raise UncorrectableEccError(
+                sorted(
+                    (memory.org.bank_key(int(w) // words_per_bank), int(w) % words_per_bank)
+                    for w in bad_words
+                )
+            )
+        return store[index]
 
-    def scrub(
-        self,
-        memory: "PhysicalMemory",
-        channel: np.ndarray,
-        rank: np.ndarray,
-        bank: np.ndarray,
-        byte_index: np.ndarray,
-    ) -> None:
+    def scrub(self, memory: "PhysicalMemory", index: np.ndarray) -> None:
         """:meth:`fetch` without consuming the data (a scrub pass)."""
-        self.fetch(memory, channel, rank, bank, byte_index)
+        self.fetch(memory, index)

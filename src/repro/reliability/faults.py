@@ -201,34 +201,23 @@ class FaultInjector:
 
     # -- direct injections -------------------------------------------------
 
-    def _tensor_coords(
-        self, system: "PimSystem", tensor: "PimTensor"
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Flat (bank-id, byte-index) coordinates of every physical byte
-        of *tensor*, in virtual-address order."""
-        from repro.core.mapping import Field
-
-        controller = system.controller
-        org = system.org
-        bank_ids: List[np.ndarray] = []
-        byte_indices: List[np.ndarray] = []
-        for pa, length, map_id in system.space.mmu.translate_range(
-            tensor.va, tensor.nbytes_padded
-        ):
-            pas = np.arange(pa, pa + length, dtype=np.int64)
-            fields = controller.translate_array(pas, map_id)
-            byte_index = (
-                fields[Field.ROW] * org.row_bytes
-                + fields[Field.COL] * org.transfer_bytes
-                + fields[Field.OFFSET]
-            )
-            bank_ids.append(
-                system.memory._bank_ids(
-                    fields[Field.CHANNEL], fields[Field.RANK], fields[Field.BANK]
+    def _tensor_index(self, system: "PimSystem", tensor: "PimTensor") -> np.ndarray:
+        """Global byte index (into the flat DRAM store) of every physical
+        byte of *tensor*, in virtual-address order."""
+        return np.concatenate(
+            [
+                system.controller.flat_index(pa, length, map_id)
+                for pa, length, map_id in system.space.mmu.translate_range(
+                    tensor.va, tensor.nbytes_padded
                 )
-            )
-            byte_indices.append(byte_index)
-        return np.concatenate(bank_ids), np.concatenate(byte_indices)
+            ]
+        )
+
+    @staticmethod
+    def _bank_byte(system: "PimSystem", index: int) -> Tuple[_BankKey, int]:
+        """``(bank key, byte offset in that bank)`` of a global index."""
+        bank_id, byte = divmod(index, system.memory.bank_bytes)
+        return system.org.bank_key(bank_id), byte
 
     def flip_bits_in_tensor(
         self, system: "PimSystem", tensor: "PimTensor", n_flips: int
@@ -238,25 +227,23 @@ class FaultInjector:
         correctable)."""
         if n_flips <= 0:
             return []
-        bank_ids, byte_indices = self._tensor_coords(system, tensor)
+        index = self._tensor_index(system, tensor)
         events: List[FaultEvent] = []
-        chosen: Set[Tuple[int, int]] = set()  # (bank_id, word)
+        chosen: Set[int] = set()  # global ECC word numbers
         for _ in range(n_flips):
             for _attempt in range(32):
-                i = self.rng.randrange(len(byte_indices))
-                word_key = (int(bank_ids[i]), int(byte_indices[i]) >> 3)
-                if word_key not in chosen:
-                    chosen.add(word_key)
+                i = self.rng.randrange(len(index))
+                word = int(index[i]) >> 3
+                if word not in chosen:
+                    chosen.add(word)
                     break
             else:
                 break  # tensor smaller than requested distinct words
-            key = system.memory._key_from_id(int(bank_ids[i]))
+            key, byte = self._bank_byte(system, int(index[i]))
             bit = self.rng.randrange(8)
             flat = system.memory.bank(*key).reshape(-1)
-            flat[byte_indices[i]] ^= 1 << bit
-            event = FaultEvent(
-                FaultKind.TRANSIENT_FLIP, (key, int(byte_indices[i]), bit)
-            )
+            flat[byte] ^= 1 << bit
+            event = FaultEvent(FaultKind.TRANSIENT_FLIP, (key, byte, bit))
             self.log.append(event)
             events.append(event)
         return events
@@ -266,10 +253,10 @@ class FaultInjector:
     ) -> FaultEvent:
         """Flip two distinct bits of one ECC word — uncorrectable by
         SECDED, must surface as a detected error."""
-        bank_ids, byte_indices = self._tensor_coords(system, tensor)
-        i = self.rng.randrange(len(byte_indices))
-        key = system.memory._key_from_id(int(bank_ids[i]))
-        word_base = (int(byte_indices[i]) >> 3) << 3
+        index = self._tensor_index(system, tensor)
+        i = self.rng.randrange(len(index))
+        key, byte = self._bank_byte(system, int(index[i]))
+        word_base = (byte >> 3) << 3
         flat = system.memory.bank(*key).reshape(-1)
         first = (self.rng.randrange(8), self.rng.randrange(8))
         while True:

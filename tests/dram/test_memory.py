@@ -61,13 +61,18 @@ class TestVectorAccess:
         # unique byte indices per bank to avoid overwrite ambiguity
         byte_index = rng.permutation(TINY_ORG.bank_bytes)[:n]
         values = rng.integers(0, 256, n).astype(np.uint8)
-        memory.scatter(channel, rank, bank, byte_index, values)
-        out = memory.gather(channel, rank, bank, byte_index)
+        index = TINY_ORG.bank_id(channel, rank, bank) * TINY_ORG.bank_bytes + byte_index
+        memory.scatter(index, values)
+        out = memory.gather(index)
         assert np.array_equal(out, values)
+        assert sorted(memory.touched_banks()) == sorted(
+            {(int(c), 0, int(b)) for c, b in zip(channel, bank)}
+        )
+        for i in range(0, n, 97):
+            key = (int(channel[i]), 0, int(bank[i]))
+            assert memory.bank(*key).reshape(-1)[byte_index[i]] == values[i]
 
     def test_gather_defaults_to_zero(self):
         memory = PhysicalMemory(TINY_ORG)
-        out = memory.gather(
-            np.array([0]), np.array([0]), np.array([0]), np.array([123])
-        )
+        out = memory.gather(np.array([123]))
         assert out[0] == 0
