@@ -39,25 +39,12 @@ DATASETS: Dict[str, DatasetSpec] = {
     HUMANEVAL_AUTOCOMPLETE_LIKE.name: HUMANEVAL_AUTOCOMPLETE_LIKE,
 }
 
-#: per-process engine memo: workers evaluate many points on the same
-#: platform and the engine's pricing caches are reusable across them
-_ENGINES: Dict[str, InferenceEngine] = {}
-
-
 def _platform(name: str) -> PlatformSpec:
     for platform in ALL_PLATFORMS:
         if platform.name == name:
             return platform
     known = ", ".join(p.name for p in ALL_PLATFORMS)
     raise ValueError(f"unknown platform {name!r}; known: {known}")
-
-
-def _engine(platform_name: str) -> InferenceEngine:
-    engine = _ENGINES.get(platform_name)
-    if engine is None:
-        engine = InferenceEngine(_platform(platform_name))
-        _ENGINES[platform_name] = engine
-    return engine
 
 
 def _workload_spec(kind: str, config: Mapping, workload: Mapping):
@@ -122,7 +109,7 @@ def evaluate_point(config: Mapping, seed: int) -> Dict[str, float]:
     from repro.serving import ServingConfig, ServingRuntime, poisson_workload
     from repro.serving.workload import TenantSpec
 
-    engine = _engine(str(config["platform"]))
+    engine = InferenceEngine(_platform(str(config["platform"])))
     workload = WORKLOADS[str(config["workload"])]
     dataset = DATASETS[str(workload["dataset"])]
     mean_turns = float(config.get("mean_turns", workload["mean_turns"]))

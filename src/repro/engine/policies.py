@@ -21,20 +21,21 @@ command-level GEMV model, and the re-layout cost model.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.relayout import relayout_cost_ns
 from repro.core.selector import MatrixConfig, select_mapping
 from repro.engine.metrics import QueryLatency
-from repro.llm.inference import AttentionCost, decode_step_plan, prefill_plan
+from repro.llm.inference import AttentionCost, attention_cost, prefill_plan
 from repro.llm.layers import LinearSpec, linear_specs
 from repro.llm.model_config import LlmConfig, model_by_name
 from repro.pim.gemv import GemvLatency, gemv_latency
 from repro.platforms.specs import PlatformSpec
 from repro.soc.processor import SocProcessor
 
-__all__ = ["InferenceEngine", "POLICIES", "decode_on_pim"]
+__all__ = ["InferenceEngine", "POLICIES", "PhasePricing", "decode_on_pim", "phase_pricing"]
 
 POLICIES = ("soc-only", "hybrid-static", "hybrid-dynamic", "facil")
 
@@ -59,6 +60,130 @@ class _SpecCosts:
     relayout_ns: float
 
 
+class PhasePricing:
+    """Phase costs of one ``(platform, model, soc, huge_page_bytes,
+    relayout_mode)`` content key, shared by every engine with that key.
+
+    Holds the per-spec costs, the prefill memos and, per decode unit, a
+    table of decode step costs indexed by context length.  A step is the
+    context-independent linear term plus attention over the KV context,
+    added in the same order as the per-token formula, so a table entry is
+    bit-identical to pricing the step from its ``decode_step_plan``.
+    Build it through :func:`phase_pricing`.
+    """
+
+    def __init__(
+        self,
+        platform: PlatformSpec,
+        model: LlmConfig,
+        soc: SocProcessor,
+        huge_page_bytes: int,
+        relayout_mode: str,
+    ):
+        self.platform = platform
+        self.model = model
+        self.soc = soc
+        specs = linear_specs(model)
+        self.costs: Dict[str, _SpecCosts] = {}
+        for spec in specs:
+            matrix = spec.matrix_config()
+            selection = select_mapping(
+                matrix, platform.dram.org, platform.pim, huge_page_bytes
+            )
+            pim = gemv_latency(
+                matrix,
+                platform.dram,
+                platform.pim,
+                huge_page_bytes,
+                selection=selection,
+            )
+            relayout = relayout_cost_ns(
+                spec.bytes_per_instance, platform.dram, mode=relayout_mode
+            )
+            self.costs[spec.name] = _SpecCosts(
+                spec=spec, pim_gemv=pim, relayout_ns=relayout.total_ns
+            )
+        self.relayout_total_ns = sum(
+            c.spec.count * c.relayout_ns for c in self.costs.values()
+        )
+        self.soc_prefill: Dict[Tuple[int, bool], float] = {}
+        self.pim_prefill: Dict[int, float] = {}
+        # context-independent linear term of one decode step, per unit
+        soc_linear = 0.0
+        pim_linear = 0.0
+        reduce_bytes = 0.0
+        for spec in specs:
+            soc_linear += spec.count * soc.gemv_time_ns(
+                spec.out_features, spec.in_features, spec.dtype_bytes
+            )
+            cost = self.costs[spec.name]
+            pim_linear += spec.count * (cost.pim_gemv.total_ns + PIM_DISPATCH_NS)
+            reduce_bytes += spec.count * cost.pim_gemv.soc_reduce_bytes
+        self.linear_ns = {
+            False: soc_linear,
+            True: pim_linear + soc.stream_time_ns(reduce_bytes),
+        }
+        #: step cost by context length; index 0 is never a valid context
+        self.steps: Dict[bool, List[float]] = {False: [math.nan], True: [math.nan]}
+
+    def attention_ns(self, attention: AttentionCost) -> float:
+        base = self.soc.op_time_ns(attention.flops, attention.bytes_moved)
+        return base + (attention.n_kernels - 1) * self.soc.kernel_launch_ns
+
+    def grow(self, on_pim: bool, context_len: int) -> None:
+        """Fill the step table of *on_pim* up to *context_len*."""
+        table = self.steps[on_pim]
+        if context_len >= len(table):
+            linear = self.linear_ns[on_pim]
+            table.extend(
+                linear + self.attention_ns(attention_cost(self.model, 1, ctx))
+                for ctx in range(len(table), context_len + 1)
+            )
+
+    def price_soc_prefill(self, prefill_len: int, pim_layout: bool) -> float:
+        plan = prefill_plan(self.model, prefill_len)
+        gemm_ns = 0.0
+        for spec in plan.linears:
+            n = _gemm_batch(spec, plan.batch_tokens)
+            gemm_ns += spec.count * self.soc.gemm_time_ns(
+                spec.out_features, n, spec.in_features, spec.dtype_bytes
+            )
+        if pim_layout:
+            gemm_ns *= 1.0 + self.platform.gemm_layout_slowdown
+        return gemm_ns + self.attention_ns(plan.attention)
+
+    def price_pim_prefill(self, prefill_len: int) -> float:
+        plan = prefill_plan(self.model, prefill_len)
+        gemv_ns = 0.0
+        reduce_bytes = 0.0
+        for spec in plan.linears:
+            cost = self.costs[spec.name]
+            n = _gemm_batch(spec, plan.batch_tokens)
+            gemv_ns += spec.count * (n * cost.pim_gemv.total_ns + PIM_DISPATCH_NS)
+            reduce_bytes += spec.count * n * cost.pim_gemv.soc_reduce_bytes
+        reduce_ns = self.soc.stream_time_ns(reduce_bytes)
+        return gemv_ns + reduce_ns + self.attention_ns(plan.attention)
+
+
+def _gemm_batch(spec: LinearSpec, batch_tokens: int) -> int:
+    """Prefill batch size for a spec (the LM head only needs logits for
+    the final position)."""
+    return 1 if spec.name == "lm_head" else batch_tokens
+
+
+@functools.lru_cache(maxsize=64)
+def phase_pricing(
+    platform: PlatformSpec,
+    model: LlmConfig,
+    soc: SocProcessor,
+    huge_page_bytes: int,
+    relayout_mode: str,
+) -> PhasePricing:
+    """The shared :class:`PhasePricing` of one content key (every field
+    is a frozen dataclass or a scalar, so equal content shares)."""
+    return PhasePricing(platform, model, soc, huge_page_bytes, relayout_mode)
+
+
 class InferenceEngine:
     """Prices queries on one platform + model under each policy."""
 
@@ -74,112 +199,63 @@ class InferenceEngine:
         self.model = model if model is not None else model_by_name(platform.model_name)
         self.soc = soc_override if soc_override is not None else platform.soc
         self.huge_page_bytes = huge_page_bytes
-        self._costs: Dict[str, _SpecCosts] = {}
-        for spec in linear_specs(self.model):
-            matrix = spec.matrix_config()
-            selection = select_mapping(
-                matrix, platform.dram.org, platform.pim, huge_page_bytes
-            )
-            pim = gemv_latency(
-                matrix,
-                platform.dram,
-                platform.pim,
-                huge_page_bytes,
-                selection=selection,
-            )
-            relayout = relayout_cost_ns(
-                spec.bytes_per_instance, platform.dram, mode=relayout_mode
-            )
-            self._costs[spec.name] = _SpecCosts(
-                spec=spec, pim_gemv=pim, relayout_ns=relayout.total_ns
-            )
-        # Decode steps repeat the same context lengths across queries and
-        # sweeps; memoize the pure pricing functions per engine instance.
-        self.soc_prefill_ns = functools.lru_cache(maxsize=None)(self.soc_prefill_ns)
-        self.pim_prefill_ns = functools.lru_cache(maxsize=None)(self.pim_prefill_ns)
-        self.soc_decode_step_ns = functools.lru_cache(maxsize=None)(
-            self.soc_decode_step_ns
+        self._pricing = phase_pricing(
+            platform, self.model, self.soc, huge_page_bytes, relayout_mode
         )
-        self.pim_decode_step_ns = functools.lru_cache(maxsize=None)(
-            self.pim_decode_step_ns
-        )
+        self._costs = self._pricing.costs
+        self._soc_steps = self._pricing.steps[False]
+        self._pim_steps = self._pricing.steps[True]
 
     # ------------------------------------------------------------------
     # phase primitives
     # ------------------------------------------------------------------
 
-    def _attention_ns(self, attention: AttentionCost) -> float:
-        base = self.soc.op_time_ns(attention.flops, attention.bytes_moved)
-        return base + (attention.n_kernels - 1) * self.soc.kernel_launch_ns
+    _gemm_batch = staticmethod(_gemm_batch)
 
-    def _gemm_batch(self, spec: LinearSpec, batch_tokens: int) -> int:
-        """Prefill batch size for a spec (the LM head only needs logits
-        for the final position)."""
-        return 1 if spec.name == "lm_head" else batch_tokens
+    def _attention_ns(self, attention: AttentionCost) -> float:
+        return self._pricing.attention_ns(attention)
 
     def soc_prefill_ns(self, prefill_len: int, pim_layout: bool = False) -> float:
         """Prefill entirely on the SoC.  With ``pim_layout`` the GEMMs run
         on the PIM-optimized layout (FACIL) and are scaled by the
         platform's conservative Table III slowdown."""
-        plan = prefill_plan(self.model, prefill_len)
-        gemm_ns = 0.0
-        for spec in plan.linears:
-            n = self._gemm_batch(spec, plan.batch_tokens)
-            gemm_ns += spec.count * self.soc.gemm_time_ns(
-                spec.out_features, n, spec.in_features, spec.dtype_bytes
-            )
-        if pim_layout:
-            gemm_ns *= 1.0 + self.platform.gemm_layout_slowdown
-        return gemm_ns + self._attention_ns(plan.attention)
+        memo = self._pricing.soc_prefill
+        key = (prefill_len, pim_layout)
+        ns = memo.get(key)
+        if ns is None:
+            ns = memo[key] = self._pricing.price_soc_prefill(prefill_len, pim_layout)
+        return ns
 
     def relayout_total_ns(self) -> float:
         """On-demand re-layout of every weight matrix, paid once per
         prefill by the hybrid baseline."""
-        return sum(c.spec.count * c.relayout_ns for c in self._costs.values())
+        return self._pricing.relayout_total_ns
 
     def pim_prefill_ns(self, prefill_len: int) -> float:
         """Prefill on PIM: the tall-and-skinny GEMM as L back-to-back
         GEMV passes (AiM holds one input vector at a time), attention and
         glue on the SoC."""
-        plan = prefill_plan(self.model, prefill_len)
-        gemv_ns = 0.0
-        reduce_bytes = 0.0
-        for spec in plan.linears:
-            cost = self._costs[spec.name]
-            n = self._gemm_batch(spec, plan.batch_tokens)
-            gemv_ns += spec.count * (n * cost.pim_gemv.total_ns + PIM_DISPATCH_NS)
-            reduce_bytes += spec.count * n * cost.pim_gemv.soc_reduce_bytes
-        reduce_ns = self.soc.stream_time_ns(reduce_bytes)
-        return gemv_ns + reduce_ns + self._attention_ns(plan.attention)
+        memo = self._pricing.pim_prefill
+        ns = memo.get(prefill_len)
+        if ns is None:
+            ns = memo[prefill_len] = self._pricing.price_pim_prefill(prefill_len)
+        return ns
 
     def soc_decode_step_ns(self, context_len: int) -> float:
-        plan = decode_step_plan(self.model, context_len)
-        gemv_ns = 0.0
-        for spec in plan.linears:
-            gemv_ns += spec.count * self.soc.gemv_time_ns(
-                spec.out_features, spec.in_features, spec.dtype_bytes
-            )
-        return gemv_ns + self._attention_ns(plan.attention)
+        if context_len <= 0:
+            raise ValueError("context length must be positive")
+        if context_len >= len(self._soc_steps):
+            self._pricing.grow(False, context_len)
+        return self._soc_steps[context_len]
 
     def pim_decode_step_ns(self, context_len: int) -> float:
         """One decode step with linear GEMVs on PIM; attention, glue, and
         partial-sum reduction on the SoC."""
-        plan = decode_step_plan(self.model, context_len)
-        gemv_ns = 0.0
-        reduce_bytes = 0.0
-        for spec in plan.linears:
-            cost = self._costs[spec.name]
-            gemv_ns += spec.count * (cost.pim_gemv.total_ns + PIM_DISPATCH_NS)
-            reduce_bytes += spec.count * cost.pim_gemv.soc_reduce_bytes
-        reduce_ns = self.soc.stream_time_ns(reduce_bytes)
-        return gemv_ns + reduce_ns + self._attention_ns(plan.attention)
-
-    def _decode_total_ns(self, prefill_len: int, decode_len: int, on_pim: bool) -> float:
-        """Decode steps 2..D (the first token comes from prefill)."""
-        step = self.pim_decode_step_ns if on_pim else self.soc_decode_step_ns
-        return sum(
-            step(prefill_len + t) for t in range(1, decode_len)
-        )
+        if context_len <= 0:
+            raise ValueError("context length must be positive")
+        if context_len >= len(self._pim_steps):
+            self._pricing.grow(True, context_len)
+        return self._pim_steps[context_len]
 
     # ------------------------------------------------------------------
     # phase-level pricing (the serving runtime schedules phases on
@@ -222,12 +298,15 @@ class InferenceEngine:
     def decode_total_ns(
         self, prefill_len: int, decode_len: int, on_pim: bool
     ) -> float:
-        """Price the decode phase (steps 2..D) on the given unit — the
-        public face of :meth:`_decode_total_ns` for serving/reliability
-        callers."""
+        """Price the decode phase: steps 2..D on the given unit (the first
+        token comes from prefill), summed in token order."""
         if prefill_len <= 0 or decode_len <= 0:
             raise ValueError("prefill and decode lengths must be positive")
-        return self._decode_total_ns(prefill_len, decode_len, on_pim)
+        table = self._pim_steps if on_pim else self._soc_steps
+        end = prefill_len + decode_len
+        if end > len(table):
+            self._pricing.grow(bool(on_pim), end - 1)
+        return sum(table[prefill_len + 1 : end])
 
     # ------------------------------------------------------------------
     # dynamic-offload profiling (paper §VI-C)
@@ -283,7 +362,7 @@ class InferenceEngine:
         if policy == "soc-only":
             ttft = self.soc_prefill_ns(prefill_len)
             breakdown["prefill_soc"] = ttft
-            decode = self._decode_total_ns(prefill_len, decode_len, on_pim=False)
+            decode = self.decode_total_ns(prefill_len, decode_len, on_pim=False)
             breakdown["decode_soc"] = decode
         elif policy == "hybrid-static":
             relayout = self.relayout_total_ns()
@@ -291,7 +370,7 @@ class InferenceEngine:
             ttft = relayout + gemm
             breakdown["relayout"] = relayout
             breakdown["prefill_soc"] = gemm
-            decode = self._decode_total_ns(prefill_len, decode_len, on_pim=True)
+            decode = self.decode_total_ns(prefill_len, decode_len, on_pim=True)
             breakdown["decode_pim"] = decode
         elif policy == "hybrid-dynamic":
             soc_path = self.relayout_total_ns() + self.soc_prefill_ns(prefill_len)
@@ -303,7 +382,7 @@ class InferenceEngine:
                 ttft = soc_path
                 breakdown["relayout"] = self.relayout_total_ns()
                 breakdown["prefill_soc"] = ttft - breakdown["relayout"]
-            decode = self._decode_total_ns(prefill_len, decode_len, on_pim=True)
+            decode = self.decode_total_ns(prefill_len, decode_len, on_pim=True)
             breakdown["decode_pim"] = decode
         else:  # facil
             use_dynamic = True if dynamic_offload is None else dynamic_offload
@@ -319,7 +398,7 @@ class InferenceEngine:
             else:
                 ttft = soc_path
                 breakdown["prefill_soc"] = soc_path
-            decode = self._decode_total_ns(prefill_len, decode_len, on_pim=True)
+            decode = self.decode_total_ns(prefill_len, decode_len, on_pim=True)
             breakdown["decode_pim"] = decode
 
         return QueryLatency(

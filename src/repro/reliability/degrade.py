@@ -249,7 +249,7 @@ class ResilientEngine:
             ttft = relayout + gemm
             breakdown["relayout"] = relayout
             breakdown["prefill_soc"] = gemm
-        decode = self.engine._decode_total_ns(prefill_len, decode_len, on_pim=False)
+        decode = self.engine.decode_total_ns(prefill_len, decode_len, on_pim=False)
         breakdown["decode_soc"] = decode
         return QueryLatency(
             policy=policy,
