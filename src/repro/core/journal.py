@@ -130,7 +130,8 @@ class MapJournal:
     # -- transaction lifecycle -----------------------------------------
 
     def begin(self, op: str, **intent: Any) -> JournalTxn:
-        txn = JournalTxn(txn_id=self._next_id, op=op, intent=dict(intent))
+        # ``intent`` and ``detail`` are fresh keyword dicts: stored as is
+        txn = JournalTxn(txn_id=self._next_id, op=op, intent=intent)
         self._next_id += 1
         self._txns.append(txn)
         return txn
@@ -138,7 +139,7 @@ class MapJournal:
     def step(self, txn: JournalTxn, name: str, **detail: Any) -> None:
         if txn.committed:
             raise ValueError(f"txn {txn.txn_id} already committed")
-        txn.steps.append((name, dict(detail)))
+        txn.steps.append((name, detail))
 
     def checkpoint(self, site: str) -> None:
         """A crash-injection site between journal steps."""

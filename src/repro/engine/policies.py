@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.relayout import relayout_cost_ns
 from repro.core.selector import MatrixConfig, select_mapping
 from repro.engine.metrics import QueryLatency
-from repro.llm.inference import AttentionCost, attention_cost, prefill_plan
+from repro.llm.inference import AttentionCost, attention_cost
 from repro.llm.layers import LinearSpec, linear_specs
 from repro.llm.model_config import LlmConfig, model_by_name
 from repro.pim.gemv import GemvLatency, gemv_latency
@@ -84,6 +84,8 @@ class PhasePricing:
         self.model = model
         self.soc = soc
         specs = linear_specs(model)
+        #: the model's linears, built once for every prefill and step price
+        self.specs: Tuple[LinearSpec, ...] = tuple(specs)
         self.costs: Dict[str, _SpecCosts] = {}
         for spec in specs:
             matrix = spec.matrix_config()
@@ -141,28 +143,32 @@ class PhasePricing:
             )
 
     def price_soc_prefill(self, prefill_len: int, pim_layout: bool) -> float:
-        plan = prefill_plan(self.model, prefill_len)
+        if prefill_len <= 0:
+            raise ValueError("prefill length must be positive")
         gemm_ns = 0.0
-        for spec in plan.linears:
-            n = _gemm_batch(spec, plan.batch_tokens)
+        for spec in self.specs:
+            n = _gemm_batch(spec, prefill_len)
             gemm_ns += spec.count * self.soc.gemm_time_ns(
                 spec.out_features, n, spec.in_features, spec.dtype_bytes
             )
         if pim_layout:
             gemm_ns *= 1.0 + self.platform.gemm_layout_slowdown
-        return gemm_ns + self.attention_ns(plan.attention)
+        attention = attention_cost(self.model, prefill_len, prefill_len)
+        return gemm_ns + self.attention_ns(attention)
 
     def price_pim_prefill(self, prefill_len: int) -> float:
-        plan = prefill_plan(self.model, prefill_len)
+        if prefill_len <= 0:
+            raise ValueError("prefill length must be positive")
         gemv_ns = 0.0
         reduce_bytes = 0.0
-        for spec in plan.linears:
+        for spec in self.specs:
             cost = self.costs[spec.name]
-            n = _gemm_batch(spec, plan.batch_tokens)
+            n = _gemm_batch(spec, prefill_len)
             gemv_ns += spec.count * (n * cost.pim_gemv.total_ns + PIM_DISPATCH_NS)
             reduce_bytes += spec.count * n * cost.pim_gemv.soc_reduce_bytes
         reduce_ns = self.soc.stream_time_ns(reduce_bytes)
-        return gemv_ns + reduce_ns + self.attention_ns(plan.attention)
+        attention = attention_cost(self.model, prefill_len, prefill_len)
+        return gemv_ns + reduce_ns + self.attention_ns(attention)
 
 
 def _gemm_batch(spec: LinearSpec, batch_tokens: int) -> int:

@@ -326,32 +326,37 @@ class FleetDevice:
         op = site.split(":", 1)[0]
         label = f"{self.spec.name} kill {self.kills} site {site}"
 
-        # stage the pool so the op is legal, then arm and crash
+        # stage a legal run of >= 2 blocks where the pool allows one (the
+        # live path's grows and evictions are runs), then arm and crash
+        run = self.spec.max_blocks_per_conversation
         holders = self._holder_refs()
-        popped: Optional[BlockRef] = None
-        if op == "kvalloc" and self.pool.free_blocks == 0 and holders:
-            victim = holders[0]
-            self._forget_ref(victim)
-            self.pool.free(victim, now_ns)
-            holders = self._holder_refs()
-        if op == "kvfree":
-            if holders:
-                popped = holders[0]
-                self._forget_ref(popped)
-            else:
-                popped = self.pool.alloc(now_ns).ref
+        count = 0
+        popped: List[BlockRef] = []
+        if op == "kvalloc":
+            victims = holders[: max(0, 2 - self.pool.free_blocks)]
+            for victim in victims:
+                self._forget_ref(victim)
+            self.pool.free_run(victims, now_ns)
+            count = min(run, self.pool.free_blocks)
+        else:
+            popped = holders[:run]
+            for ref in popped:
+                self._forget_ref(ref)
+            if len(popped) < 2:
+                topup = min(2 - len(popped), self.pool.free_blocks)
+                popped += [block.ref for block in self.pool.alloc_run(topup, now_ns)]
         self.injector.schedule_crash(site)
         crashed = False
         try:
             if op == "kvalloc":
-                if self.pool.free_blocks:
-                    block = self.pool.alloc(now_ns)
+                if count:
+                    blocks = self.pool.alloc_run(count, now_ns)
                     # an alloc that survives the armed site cannot happen
-                    self.pool.free(block.ref, now_ns)
+                    self.pool.free_run([block.ref for block in blocks], now_ns)
             else:
-                if popped is None:
+                if not popped:
                     raise RuntimeError("kvfree crash site armed with no live block")
-                self.pool.free(popped, now_ns)
+                self.pool.free_run(popped, now_ns)
         except InjectedCrash:
             crashed = True
         self.injector._pending_crash = None  # disarm whatever did not fire
@@ -414,16 +419,16 @@ class FleetDevice:
 
     def _drop_all_residency(self, now_ns: float) -> None:
         for conv_id in sorted(self.resident):
-            for ref in self.resident[conv_id].refs:
-                self.pool.free(ref, now_ns)
+            self.pool.free_run(self.resident[conv_id].refs, now_ns)
         self.resident.clear()
+        self.journal.truncate_committed()
 
     def evict_conversation(self, conv_id: int, now_ns: float) -> bool:
         res = self.resident.pop(conv_id, None)
         if res is None:
             return False
-        for ref in res.refs:
-            self.pool.free(ref, now_ns)
+        self.pool.free_run(res.refs, now_ns)
+        self.journal.truncate_committed()
         self.kv_evicted_conversations += 1
         return True
 
@@ -448,11 +453,16 @@ class FleetDevice:
             -(-tokens_total // self.spec.block_tokens),
             self.spec.max_blocks_per_conversation,
         )
+        # one run per stretch of free blocks; evict only when none are
+        # left, so victims fall exactly where a block-by-block grow
+        # would evict them
         while len(res.refs) < want_blocks:
             if self.pool.free_blocks == 0 and not self._evict_lru(conv_id, now_ns):
                 break  # pool full of this conversation's own blocks
-            res.refs.append(self.pool.alloc(now_ns).ref)
+            count = min(want_blocks - len(res.refs), self.pool.free_blocks)
+            res.refs.extend(block.ref for block in self.pool.alloc_run(count, now_ns))
         res.tokens = min(tokens_total, len(res.refs) * self.spec.block_tokens)
+        self.journal.truncate_committed()
 
     def _evict_lru(self, keep_conv_id: int, now_ns: float) -> bool:
         victim_id: Optional[int] = None

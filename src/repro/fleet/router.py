@@ -53,6 +53,10 @@ class FleetRouter:
         }
         if not self.devices:
             raise ValueError("a fleet needs at least one device")
+        #: devices in id order; the device set is fixed at construction
+        self._by_id: List[FleetDevice] = [
+            self.devices[did] for did in sorted(self.devices)
+        ]
         self.spill_backlog_ns = spill_backlog_ns
         #: conversation id -> device id currently holding its prefix KV
         self.affinity: Dict[int, int] = {}
@@ -65,11 +69,7 @@ class FleetRouter:
     # -- placement -------------------------------------------------------------
 
     def _candidates(self) -> List[FleetDevice]:
-        return [
-            self.devices[did]
-            for did in sorted(self.devices)
-            if self.devices[did].state in _STATE_RANK
-        ]
+        return [dev for dev in self._by_id if dev.state in _STATE_RANK]
 
     def _least_loaded(self, now_ns: float) -> Optional[FleetDevice]:
         best: Optional[FleetDevice] = None

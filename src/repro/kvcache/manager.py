@@ -102,16 +102,28 @@ class KvCacheManager:
 
     # -- allocation with eviction -----------------------------------------
 
-    def _alloc_block(self, now_ns: float) -> KvBlock:
-        while True:
-            try:
-                return self.pool.alloc(now_ns)
-            except KvPoolExhausted:
-                leaf = self.tree.lru_leaf()
-                if leaf is None:
-                    raise
-                self.pool.free(self.tree.evict(leaf), now_ns)
-                self.evictions += 1
+    def _alloc_blocks(self, count: int, now_ns: float) -> List[KvBlock]:
+        """Allocate *count* blocks, one pool run per stretch of free
+        blocks, evicting an LRU idle leaf only when none is free (where a
+        block-by-block loop would evict it).  Raises
+        :class:`KvPoolExhausted` with nothing held when the pool cannot
+        cover *count*."""
+        free = self.pool.free_blocks
+        if count <= free:
+            return self.pool.alloc_run(count, now_ns)
+        blocks = self.pool.alloc_run(free, now_ns)
+        while len(blocks) < count:
+            leaf = self.tree.lru_leaf()
+            if leaf is None:
+                self.pool.free_run([block.ref for block in blocks], now_ns)
+                raise KvPoolExhausted(
+                    f"all {self.pool.num_blocks} KV blocks in use and none evictable"
+                )
+            self.pool.free(self.tree.evict(leaf), now_ns)
+            self.evictions += 1
+            take = min(count - len(blocks), self.pool.free_blocks)
+            blocks.extend(self.pool.alloc_run(take, now_ns))
+        return blocks
 
     # -- admission ---------------------------------------------------------
 
@@ -153,13 +165,9 @@ class KvCacheManager:
         for node in hits:
             self.tree.acquire(node, now_ns)
         need_blocks = ceil_div(total_tokens - cached, B) if total_tokens > cached else 0
-        new_refs: List[BlockRef] = []
         try:
-            for _ in range(need_blocks):
-                new_refs.append(self._alloc_block(now_ns).ref)
+            new_refs = [block.ref for block in self._alloc_blocks(need_blocks, now_ns)]
         except KvPoolExhausted:
-            for ref in new_refs:
-                self.pool.free(ref, now_ns)
             for node in hits:
                 self.tree.release(node, now_ns)
             raise
@@ -189,7 +197,7 @@ class KvCacheManager:
         block = self.pool.get(ref)
         if block.ref_count == 1:
             return
-        fresh = self._alloc_block(now_ns)
+        fresh = self._alloc_blocks(1, now_ns)[0]
         fresh.tokens = block.tokens
         self.pool.free(ref, now_ns)
         seq.private[p] = fresh.ref
@@ -204,17 +212,10 @@ class KvCacheManager:
         sequence's existing blocks are untouched."""
         seq = self._seqs[seq_id]
         self._make_tail_writable(seq, now_ns)
-        added: List[BlockRef] = []
-        try:
-            while seq.tokens + n_tokens > seq.capacity(self.block_tokens):
-                ref = self._alloc_block(now_ns).ref
-                seq.private.append(ref)
-                added.append(ref)
-        except KvPoolExhausted:
-            for ref in added:
-                seq.private.remove(ref)
-                self.pool.free(ref, now_ns)
-            raise
+        short = seq.tokens + n_tokens - seq.capacity(self.block_tokens)
+        if short > 0:
+            added = self._alloc_blocks(ceil_div(short, self.block_tokens), now_ns)
+            seq.private.extend(block.ref for block in added)
 
     def commit(self, seq_id: int, n_tokens: int, now_ns: float = 0.0) -> None:
         """Record *n_tokens* newly computed tokens (capacity must already
@@ -296,8 +297,7 @@ class KvCacheManager:
             self._promote(seq, now_ns)
         for node in seq.shared:
             self.tree.release(node, now_ns)
-        for ref in seq.private:
-            self.pool.free(ref, now_ns)
+        self.pool.free_run(seq.private, now_ns)
 
     def preempt(self, seq_id: int, now_ns: float = 0.0) -> None:
         """Preempt-and-recompute: free the sequence's private blocks but

@@ -13,9 +13,12 @@ what the serving scheduler needs.
 Alloc and free are **journaled** through the pool's own write-ahead
 :class:`~repro.core.journal.MapJournal` instance (separate from the
 allocator's journal, whose :func:`~repro.core.journal.recover` only
-understands alloc/free/switch ops).  A crash between the free-list pop
-and the activation, or between the deref and the reclaim, is replayed
-by :func:`recover_pool`: interrupted allocations roll **back**,
+understands alloc/free/switch ops).  One transaction covers a whole
+*run* of blocks (:meth:`BlockPool.alloc_run`, :meth:`BlockPool.free_run`;
+a single :meth:`~BlockPool.alloc` or :meth:`~BlockPool.free` is a run of
+one).  A crash between the free-list pops and the activation, or
+between the derefs and the reclaims, is replayed by
+:func:`recover_pool`: interrupted allocations roll **back**,
 interrupted frees roll **forward** — the same convention as the MapID
 journal, so no block refcount is ever leaked (the crash campaign's
 ``kvcache`` case sweeps every :data:`KV_CRASH_SITES` checkpoint).
@@ -23,9 +26,9 @@ journal, so no block refcount is ever leaked (the crash campaign's
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Sequence
 
 from repro.core.journal import MapJournal, RecoveryAction, RecoveryReport
 from repro.core.selector import MatrixConfig
@@ -190,29 +193,57 @@ class BlockPool:
 
     def alloc(self, now_ns: float = 0.0) -> KvBlock:
         """Take one block off the free list (journaled)."""
-        if not self._free:
+        return self.alloc_run(1, now_ns)[0]
+
+    def alloc_run(self, count: int, now_ns: float = 0.0) -> List[KvBlock]:
+        """Take *count* blocks off the free list as one journaled
+        transaction, in free-list order.
+
+        Equivalent to *count* :meth:`alloc` calls: the same blocks, the
+        same counters and one occupancy sample per block.  Raises
+        :class:`KvPoolExhausted` with nothing taken when fewer than
+        *count* blocks are free.
+        """
+        if not 0 < count <= len(self._free):
+            if count == 0:
+                return []
+            if count < 0:
+                raise ValueError("count must be >= 0")
             raise KvPoolExhausted(
-                f"all {self.num_blocks} KV blocks in use and none evictable"
+                f"{count} KV block(s) requested, {len(self._free)} of "
+                f"{self.num_blocks} free and none evictable"
             )
+        journal = self.journal
         txn = None
-        if self.journal is not None:
+        if journal is not None:
             txn = self.journal.begin("kvalloc")
-        self._checkpoint("kvalloc:begin")
-        block_id = self._free.popleft()
-        if txn is not None and self.journal is not None:
-            self.journal.step(txn, "taken", block_id=block_id)
-        self._checkpoint("kvalloc:taken")
-        block = self.blocks[block_id]
-        block.state = BLOCK_LIVE
-        block.ref_count = 1
-        block.tokens = 0
-        block.last_use_ns = now_ns
-        if txn is not None and self.journal is not None:
-            self.journal.step(txn, "activated", block_id=block_id)
-            self.journal.commit(txn)
-        self.allocs += 1
-        self._sample()
-        return block
+            self._checkpoint("kvalloc:begin")
+        taken: List[int] = []
+        while len(taken) < count:
+            taken.append(self._free.popleft())
+        if journal is not None and txn is not None:
+            journal.step(txn, "taken", block_ids=taken)
+            self._checkpoint("kvalloc:taken")
+        blocks: List[KvBlock] = []
+        for block_id in taken:
+            block = self.blocks[block_id]
+            block.state = BLOCK_LIVE
+            block.ref_count = 1
+            block.tokens = 0
+            block.last_use_ns = now_ns
+            blocks.append(block)
+        if journal is not None and txn is not None:
+            journal.step(txn, "activated")
+            journal.commit(txn)
+        self.allocs += count
+        used = self.num_blocks - len(self._free)
+        if count == 1:
+            self.occupancy_samples.append(used)
+        else:
+            self.occupancy_samples.extend(range(used - count + 1, used + 1))
+        if used > self.peak_occupancy:
+            self.peak_occupancy = used
+        return blocks
 
     def share(self, ref: BlockRef) -> KvBlock:
         """Add one holder (copy-on-write fork or prefix-tree insert)."""
@@ -227,29 +258,69 @@ class BlockPool:
 
         Returns True when the block actually returned to the free list.
         """
-        block = self.get(ref)
+        return self.free_run((ref,), now_ns) == 1
+
+    def free_run(self, refs: Sequence[BlockRef], now_ns: float = 0.0) -> int:
+        """Drop one holder per ref as one journaled transaction.
+
+        Equivalent to one :meth:`free` per ref in order: blocks reach
+        the free list in the order their refcounts reach zero, with one
+        occupancy sample per ref.  A stale ref, or a ref repeated more
+        often than its block has holders, raises
+        :class:`StaleBlockError` before anything changes.  Returns the
+        number of blocks reclaimed.
+        """
+        blocks: List[KvBlock] = []
+        for ref in refs:
+            blocks.append(self.get(ref))
+        n = len(blocks)
+        if n != 1:
+            if not n:
+                return 0
+            self._check_holders(blocks)
+        journal = self.journal
         txn = None
-        if self.journal is not None:
-            txn = self.journal.begin(
-                "kvfree", block_id=ref.block_id, generation=ref.generation
-            )
-        self._checkpoint("kvfree:begin")
-        block.ref_count -= 1
-        block.last_use_ns = now_ns
-        if txn is not None and self.journal is not None:
-            self.journal.step(txn, "deref", remaining=block.ref_count)
-        self._checkpoint("kvfree:deref")
-        reclaimed = False
-        if block.ref_count == 0:
+        if journal is not None:
+            block_ids = [block.block_id for block in blocks]
+            txn = self.journal.begin("kvfree", block_ids=block_ids)
+            self._checkpoint("kvfree:begin")
+        # one occupancy sample per ref, as the one-block loop takes them
+        used = self.num_blocks - len(self._free)
+        samples = self.occupancy_samples
+        dead: List[KvBlock] = []
+        for block in blocks:
+            block.ref_count -= 1
+            block.last_use_ns = now_ns
+            if block.ref_count == 0:
+                dead.append(block)
+                used -= 1
+            samples.append(used)
+        if journal is not None and txn is not None:
+            journal.step(txn, "deref", dead=[block.block_id for block in dead])
+            self._checkpoint("kvfree:deref")
+        for block in dead:
             self._reclaim(block)
-            reclaimed = True
-            if txn is not None and self.journal is not None:
-                self.journal.step(txn, "reclaimed")
-        if txn is not None and self.journal is not None:
-            self.journal.commit(txn)
-        self.frees += 1
-        self._sample()
-        return reclaimed
+        if journal is not None and txn is not None:
+            if dead:
+                journal.step(txn, "reclaimed")
+            journal.commit(txn)
+        # occupancy only falls here, so the peak (set by allocs) holds
+        self.frees += n
+        return len(dead)
+
+    @staticmethod
+    def _check_holders(blocks: List[KvBlock]) -> None:
+        """A block named more often than it has holders would go stale
+        partway through the run."""
+        if len({block.block_id for block in blocks}) == len(blocks):
+            return
+        named = Counter(block.block_id for block in blocks)
+        for block in blocks:
+            if named[block.block_id] > block.ref_count:
+                raise StaleBlockError(
+                    f"block {block.block_id} named {named[block.block_id]} "
+                    f"times in one free run but has {block.ref_count} holder(s)"
+                )
 
     def _reclaim(self, block: KvBlock) -> None:
         block.state = BLOCK_FREE
@@ -314,43 +385,53 @@ def recover_pool(pool: BlockPool) -> RecoveryReport:
     """Replay the pool's journal after a (simulated) crash.
 
     Interrupted allocations roll back (the caller never received the
-    ref, so a live-but-unowned block would be a leaked refcount);
-    interrupted frees roll forward (the holder already dropped its
-    ref).  Idempotent, like :func:`repro.core.journal.recover`.
+    refs, so a live-but-unowned block would be a leaked refcount): every
+    taken block returns to the head of the free list in its pre-crash
+    order.  Interrupted frees roll forward (the holders already dropped
+    their refs): a missing deref is redone ref by ref, and every block
+    whose refcount reached zero is reclaimed in that order.  Idempotent,
+    like :func:`repro.core.journal.recover`.
     """
     journal = pool.journal
     if journal is None:
         raise ValueError("pool has no journal attached")
     report = RecoveryReport()
     for txn in reversed(journal.uncommitted()):
-        detail: Dict[str, int] = {}
+        detail: Dict[str, List[int]] = {}
         if txn.op == "kvalloc":
             taken = txn.find_step("taken")
             if taken is not None:
-                block = pool.blocks[taken["block_id"]]
-                if txn.find_step("activated") is not None:
-                    # fully activated but the ref never escaped: undo
+                # the incarnation never escaped: no generation bump
+                for block_id in taken["block_ids"]:
+                    block = pool.blocks[block_id]
+                    block.state = BLOCK_FREE
                     block.ref_count = 0
-                pool._reclaim(block)
-                # appendleft keeps the pre-crash allocation order
-                pool._free.remove(block.block_id)
-                pool._free.appendleft(block.block_id)
-                detail["returned_block"] = block.block_id
+                    block.tokens = 0
+                pool._free.extendleft(reversed(taken["block_ids"]))
+                detail["returned_blocks"] = list(taken["block_ids"])
             resolution = "rolled-back" if detail else "no-op"
         elif txn.op == "kvfree":
-            block = pool.blocks[txn.intent["block_id"]]
             deref = txn.find_step("deref")
             if deref is None:
-                # crash before the deref: redo it
-                block.ref_count -= 1
-                detail["deref_block"] = block.block_id
-                remaining = block.ref_count
+                # crash before the derefs: redo them, in order
+                dead = []
+                for block_id in txn.intent["block_ids"]:
+                    block = pool.blocks[block_id]
+                    block.ref_count -= 1
+                    if block.ref_count == 0:
+                        dead.append(block_id)
+                detail["deref_blocks"] = list(txn.intent["block_ids"])
             else:
-                remaining = deref["remaining"]
-            if remaining == 0 and txn.find_step("reclaimed") is None:
-                if block.state == BLOCK_LIVE:
-                    pool._reclaim(block)
-                    detail["reclaimed_block"] = block.block_id
+                dead = deref["dead"]
+            if txn.find_step("reclaimed") is None:
+                reclaimed = []
+                for block_id in dead:
+                    block = pool.blocks[block_id]
+                    if block.state == BLOCK_LIVE:
+                        pool._reclaim(block)
+                        reclaimed.append(block_id)
+                if reclaimed:
+                    detail["reclaimed_blocks"] = reclaimed
             resolution = "rolled-forward" if detail else "no-op"
         else:
             raise ValueError(f"KV journal holds unknown op {txn.op!r}")

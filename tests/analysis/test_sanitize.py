@@ -236,6 +236,18 @@ class TestSeededMutations:
         findings = sanitize_sources(sources)
         assert any(f.rule_id == "JD001" for f in findings)
 
+    def test_removing_the_run_free_begin_fires_jd001(self):
+        sources = _real_sources()
+        needle = 'txn = self.journal.begin("kvfree", block_ids=block_ids)'
+        assert needle in sources["repro/kvcache/pool.py"]
+        sources["repro/kvcache/pool.py"] = sources[
+            "repro/kvcache/pool.py"
+        ].replace(needle, "txn = None")
+        findings = sanitize_sources(sources)
+        assert any(
+            f.rule_id == "JD001" and "free_run" in f.detail for f in findings
+        )
+
     def test_removing_a_site_declaration_fires_jd003(self):
         sources = _real_sources()
         needle = '"alloc:registered",'

@@ -231,6 +231,24 @@ class TestDeterminism:
         assert before == after
 
 
+class TestJournalBound:
+    def test_device_journals_hold_no_committed_transactions(self):
+        """Each residency change compacts the device's KV journal, so a
+        long run keeps only in-flight transactions (none at rest)."""
+        config = FleetConfig(n_devices=3, seed=0, kv_blocks=16)
+        requests = fleet_workload(
+            [_tenant(qps=40.0, mean_turns=3.0)], 2_000.0, shape=DIURNAL, seed=0
+        )
+        runtime = FleetRuntime(config)
+        report = runtime.run(requests)
+        assert report.none_lost
+        assert sum(d.pool.allocs for d in runtime.devices) > 0
+        assert sum(d.kv_evicted_conversations for d in runtime.devices) > 0
+        for device in runtime.devices:
+            assert device.journal.transactions() == device.journal.uncommitted()
+            assert len(device.journal) == 0
+
+
 class TestAutoscale:
     def test_autoscaler_recruits_standby_under_load(self):
         config = FleetConfig(
