@@ -23,6 +23,7 @@ Two families are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -284,7 +285,29 @@ def pim_optimized_mapping(
     channels* — each channel/rank has its own input global buffer, so the
     all-bank lock-step constraint (every bank of a rank consumes the same
     input segment) is preserved.
+
+    The result is cached on content (organization, chunk shape, MapID,
+    page bits, name and PU order), so every caller asking for the same
+    mapping shares one object; it is never mutated (a corrupted table
+    entry is a replacement, see
+    :meth:`repro.reliability.faults.FaultInjector.corrupt_mapping_entry`).
     """
+    return _pim_optimized_mapping(
+        org, chunk_rows, chunk_cols, dtype_bytes, map_id, n_bits, name, tuple(pu_order)
+    )
+
+
+@lru_cache(maxsize=256)
+def _pim_optimized_mapping(
+    org: DramOrganization,
+    chunk_rows: int,
+    chunk_cols: int,
+    dtype_bytes: int,
+    map_id: int,
+    n_bits: int,
+    name: str,
+    pu_order: Tuple[str, ...],
+) -> AddressMapping:
     if not is_pow2(chunk_rows) or not is_pow2(chunk_cols):
         raise ValueError("chunk dimensions must be powers of two")
     if not is_pow2(dtype_bytes):

@@ -16,6 +16,7 @@ huge page of the matrix should use:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING, Any, Tuple
 
 from repro.core.bitfield import ceil_log2, ilog2
@@ -120,7 +121,20 @@ def select_mapping(
     consecutive matrix rows, of which each bank stores full rows — is
     ``chunk_rows * padded_row_bytes``.  If that exceeds the bank's share of
     a huge page, rows are partitioned column-wise across PUs.
+
+    Cached on content (matrix, organization, PIM configuration, page
+    size): every pimalloc of one shape shares one frozen selection.
     """
+    return _select_mapping(matrix, org, pim, huge_page_bytes)
+
+
+@lru_cache(maxsize=256)
+def _select_mapping(
+    matrix: MatrixConfig,
+    org: DramOrganization,
+    pim: PimConfig,
+    huge_page_bytes: int,
+) -> MappingSelection:
     memory_per_bank = huge_page_bytes // org.total_banks
     if memory_per_bank < pim.chunk_row_bytes:
         raise ValueError(

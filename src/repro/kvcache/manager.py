@@ -228,20 +228,24 @@ class KvCacheManager:
                 f"sequence {seq_id} commits past its capacity; call "
                 "ensure_capacity first"
             )
-        # the write guard: every block receiving tokens must be private
+        # the write guard: every block receiving tokens must be private;
+        # each is resolved once, and all pass before any is written
         start, end = seq.tokens, seq.tokens + n_tokens
-        for index in range(start // B, ceil_div(end, B) if end else 0):
-            p = index - len(seq.shared)
-            if 0 <= p < len(seq.private):
-                self.pool.check_writable(seq.private[p])
+        shared = len(seq.shared)
+        touched = [
+            (index, self.pool.check_writable(seq.private[index - shared]))
+            for index in range(
+                max(start // B, shared),
+                min(ceil_div(end, B), shared + len(seq.private)),
+            )
+        ]
         seq.tokens = end
-        for index in range(start // B, ceil_div(end, B) if end else 0):
-            p = index - len(seq.shared)
-            if 0 <= p < len(seq.private):
-                block = self.pool.get(seq.private[p])
-                block.tokens = min(B, seq.tokens - index * B)
-                block.last_use_ns = now_ns
-        self._promote(seq, now_ns)
+        for index, block in touched:
+            block.tokens = min(B, end - index * B)
+            block.last_use_ns = now_ns
+        if seq.private and end >= (shared + 1) * B:
+            # the first private block is full: publishable
+            self._promote(seq, now_ns)
 
     def _promote(self, seq: _Sequence, now_ns: float) -> None:
         """Publish full private blocks (in order) into the prefix tree,
@@ -311,12 +315,12 @@ class KvCacheManager:
     def pressure(self) -> float:
         """Fraction of the pool that is live and **not** reclaimable
         (idle cached leaves are reclaimable by eviction)."""
-        idle = len(self.tree.idle_nodes())
-        return (self.pool.used - idle) / self.pool.num_blocks
+        return (self.pool.used - self.tree.idle_count) / self.pool.num_blocks
 
     def audit(self) -> List[str]:
         """Cross-layer invariant check; returns violations (empty = clean)."""
         violations = list(self.pool.audit())
+        violations.extend(self.tree.audit())
         expected: Dict[int, int] = {}
         for node in self.tree.nodes():
             try:

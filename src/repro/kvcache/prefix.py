@@ -12,11 +12,19 @@ A node with ``seq_refs == 0`` is *cached but idle*: reclaimable.
 Eviction is LRU over idle **leaves** — interior nodes are pinned by
 their children, so chains evict tail-first and a shared prefix
 survives as long as any extension of it is warm.
+
+The victim comes from an index, not a tree walk: a heap of
+``(last_use_ns, key, seq, node)`` entries, pushed whenever a node
+becomes an idle leaf and checked lazily when it reaches the top (an
+entry is stale once its node is attached again, grows a child, is
+touched or is evicted).  The choice is exactly the full scan's,
+:meth:`PrefixTree.scan_lru_leaf`, exact ties included.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+import heapq
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.kvcache.block import BlockRef
 
@@ -69,6 +77,11 @@ class PrefixTree:
         # the root is a sentinel holding no block
         self.root = PrefixNode(key=0, parent=None, ref=BlockRef(-1, -1))
         self._n_nodes = 0
+        #: nodes with ``seq_refs == 0`` (the reclaimable ones)
+        self.idle_count = 0
+        #: eviction index: (last_use_ns, key, push seq, node), lazily pruned
+        self._heap: List[Tuple[float, int, int, PrefixNode]] = []
+        self._pushes = 0
 
     def __len__(self) -> int:
         return self._n_nodes
@@ -105,6 +118,8 @@ class PrefixTree:
         node.last_use_ns = now_ns
         base.children[token_key] = node
         self._n_nodes += 1
+        self.idle_count += 1
+        self._push(node)
         return node
 
     def lookup(self, parent: Optional[PrefixNode], token_key: int) -> Optional[PrefixNode]:
@@ -114,6 +129,8 @@ class PrefixTree:
     # -- sequence attachment ----------------------------------------------
 
     def acquire(self, node: PrefixNode, now_ns: float) -> None:
+        if node.seq_refs == 0:
+            self.idle_count -= 1
         node.seq_refs += 1
         node.last_use_ns = now_ns
 
@@ -122,6 +139,10 @@ class PrefixTree:
             raise ValueError(f"node {node.key} released more than acquired")
         node.seq_refs -= 1
         node.last_use_ns = now_ns
+        if node.seq_refs == 0:
+            self.idle_count += 1
+            if not node.children:
+                self._push(node)
 
     # -- eviction ----------------------------------------------------------
 
@@ -138,11 +159,70 @@ class PrefixTree:
 
     def idle_nodes(self) -> List[PrefixNode]:
         """Cached-but-unreferenced nodes: the reclaimable tail of the
-        pool's occupancy (feeds the pressure signal)."""
+        pool's occupancy (:attr:`idle_count` counts them without a
+        walk)."""
         return [n for n in self._iter_nodes() if n.seq_refs == 0]
 
+    def _push(self, node: PrefixNode) -> None:
+        """Index *node*, which just became an idle leaf."""
+        heapq.heappush(self._heap, self._entry(node))
+        self._bound()
+
+    def _bound(self) -> None:
+        """Keep the index within ``2 * len(self) + 64`` entries: past
+        that it is mostly stale, so rebuild it from the idle leaves."""
+        if len(self._heap) > 2 * self._n_nodes + 64:
+            self._heap = [
+                self._entry(node)
+                for node in self._iter_nodes()
+                if node.seq_refs == 0 and not node.children
+            ]
+            heapq.heapify(self._heap)
+
+    def _entry(self, node: PrefixNode) -> Tuple[float, int, int, PrefixNode]:
+        self._pushes += 1
+        return (node.last_use_ns, node.key, self._pushes, node)
+
+    @staticmethod
+    def _current(entry: Tuple[float, int, int, PrefixNode]) -> bool:
+        """Whether *entry* still describes an idle leaf as it is now."""
+        last_use_ns, _, _, node = entry
+        return (
+            node.parent is not None
+            and node.seq_refs == 0
+            and not node.children
+            and node.last_use_ns == last_use_ns
+        )
+
     def lru_leaf(self) -> Optional[PrefixNode]:
-        """The least-recently-used idle leaf, or None."""
+        """The least-recently-used idle leaf, or None: the smallest
+        ``(last_use_ns, key)``, and among exact ties the first the
+        tree walk meets (see :meth:`scan_lru_leaf`)."""
+        heap = self._heap
+        while heap and not self._current(heap[0]):
+            heapq.heappop(heap)
+        if not heap:
+            return None
+        top = heap[0]
+        if not any(entry[:2] == top[:2] for entry in heap[1:3]):
+            return top[3]
+        # entries share the top's exact (last_use_ns, key): keep one per
+        # current node, and let the walk order decide between nodes
+        tied: Dict[PrefixNode, Tuple[float, int, int, PrefixNode]] = {}
+        while heap and heap[0][:2] == top[:2]:
+            entry = heapq.heappop(heap)
+            if self._current(entry):
+                tied.setdefault(entry[3], entry)
+        for entry in tied.values():
+            heapq.heappush(heap, entry)
+        if len(tied) > 1:
+            for node in self._iter_nodes():
+                if node in tied:
+                    return node
+        return top[3]
+
+    def scan_lru_leaf(self) -> Optional[PrefixNode]:
+        """:meth:`lru_leaf` by a full tree walk (the audit's reference)."""
         best: Optional[PrefixNode] = None
         for node in self._iter_nodes():
             if node.seq_refs != 0 or not node.is_leaf:
@@ -153,6 +233,22 @@ class PrefixTree:
             ):
                 best = node
         return best
+
+    def audit(self) -> List[str]:
+        """Check the eviction index and the idle count against a walk."""
+        violations = []
+        indexed, scanned = self.lru_leaf(), self.scan_lru_leaf()
+        if indexed is not scanned:
+            violations.append(
+                f"eviction index picks {indexed and indexed.key}, "
+                f"a tree walk picks {scanned and scanned.key}"
+            )
+        idle = len(self.idle_nodes())
+        if self.idle_count != idle:
+            violations.append(
+                f"idle count {self.idle_count} but {idle} idle nodes"
+            )
+        return violations
 
     def evict(self, node: PrefixNode) -> BlockRef:
         """Detach an idle leaf; returns the block hold for the caller to
@@ -167,4 +263,9 @@ class PrefixTree:
         del parent.children[node.key]
         node.parent = None
         self._n_nodes -= 1
+        self.idle_count -= 1
+        if parent is not self.root and parent.seq_refs == 0 and not parent.children:
+            self._push(parent)
+        else:
+            self._bound()
         return node.ref

@@ -11,7 +11,7 @@ leaves (level 1) and 2 MB huge leaves (level 2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 __all__ = [
     "PAGE_SHIFT",
@@ -38,9 +38,23 @@ MAP_ID_SHIFT = PAGE_SHIFT  # MapID occupies PTE bits [12, 12+4)
 _PFN_SHIFT = PAGE_SHIFT
 _PFN_MASK = (1 << 40) - 1  # 40-bit physical frame numbers
 
+_LEVEL_ENTRIES = 1 << LEVEL_BITS
+_LEVEL_MASK = _LEVEL_ENTRIES - 1
+#: VA shift of each level's index above the base-page leaves, root first
+_L0_SHIFT = PAGE_SHIFT + 3 * LEVEL_BITS
+_L1_SHIFT = PAGE_SHIFT + 2 * LEVEL_BITS
+_L2_SHIFT = PAGE_SHIFT + LEVEL_BITS
+
 
 class PageFaultError(Exception):
-    """Translation attempted on an unmapped virtual address."""
+    """Translation attempted on an unmapped virtual address.
+
+    ``va`` is the faulting address when the raiser knows it (page-run
+    teardown uses it to tell how far a run got)."""
+
+    def __init__(self, message: str, va: Optional[int] = None) -> None:
+        super().__init__(message)
+        self.va = va
 
 
 class PteFlags:
@@ -132,13 +146,39 @@ class PageTable:
         self.fault_hook = None
 
     @staticmethod
-    def _indices(va: int) -> tuple:
-        indices = []
-        shift = PAGE_SHIFT + LEVEL_BITS * (N_LEVELS - 1)
-        for _ in range(N_LEVELS):
-            indices.append((va >> shift) & ((1 << LEVEL_BITS) - 1))
-            shift -= LEVEL_BITS
-        return tuple(indices)
+    def _indices(va: int) -> Tuple[int, int, int, int]:
+        return (
+            (va >> _L0_SHIFT) & _LEVEL_MASK,
+            (va >> _L1_SHIFT) & _LEVEL_MASK,
+            (va >> _L2_SHIFT) & _LEVEL_MASK,
+            (va >> PAGE_SHIFT) & _LEVEL_MASK,
+        )
+
+    def _spans(
+        self, va: int, count: int, huge: bool, create: bool = False
+    ) -> Iterator[Tuple[int, int, int, object]]:
+        """Split *count* pages from *va* into spans whose leaves share one
+        leaf-level node.  Yields ``(first page, pages, first leaf index,
+        node)``: the node is the leaf-level dict, None when it does not
+        exist yet (with *create*, missing nodes are made), or the leaf a
+        huge mapping puts on the path."""
+        shift = HUGE_SHIFT if huge else PAGE_SHIFT
+        walk = (_L0_SHIFT, _L1_SHIFT) if huge else (_L0_SHIFT, _L1_SHIFT, _L2_SHIFT)
+        done = 0
+        while done < count:
+            page_va = va + (done << shift)
+            first = (page_va >> shift) & _LEVEL_MASK
+            n = min(count - done, _LEVEL_ENTRIES - first)
+            table: Dict[int, object] = self._root
+            node: object = table
+            for level_shift in walk:
+                index = (page_va >> level_shift) & _LEVEL_MASK
+                node = table.setdefault(index, {}) if create else table.get(index)
+                if not isinstance(node, dict):
+                    break
+                table = node
+            yield done, n, first, node
+            done += n
 
     def map_page(
         self,
@@ -182,11 +222,87 @@ class PageTable:
         for level in range(depth):
             child = node.get(indices[level])
             if not isinstance(child, dict):
-                raise PageFaultError(f"va {va:#x} not mapped")
+                raise PageFaultError(f"va {va:#x} not mapped", va)
             node = child
         if indices[depth] not in node:
-            raise PageFaultError(f"va {va:#x} not mapped")
+            raise PageFaultError(f"va {va:#x} not mapped", va)
         del node[indices[depth]]
+
+    # -- page runs ---------------------------------------------------------
+
+    def mappable(
+        self, va: int, count: int, huge: bool = False, map_id: int = 0
+    ) -> int:
+        """How many of the *count* pages from *va* :meth:`map_page` would
+        install in turn, given page-aligned frames: the index of the first
+        page it would reject, or *count*.  Reads the table only.
+        """
+        if not 0 <= map_id < (1 << MAP_ID_BITS) or (map_id and not huge):
+            return 0  # pack_pte rejects the very first page
+        if va & ((1 << (HUGE_SHIFT if huge else PAGE_SHIFT)) - 1):
+            return 0
+        for done, n, first, node in self._spans(va, count, huge):
+            if node is None:
+                continue  # no node yet: the whole span is free
+            if not isinstance(node, dict):
+                return done  # overlaps an existing huge mapping
+            span = range(first, first + n)
+            if not node.keys().isdisjoint(span):
+                return done + next(i for i in span if i in node) - first
+        return count
+
+    def map_run(
+        self,
+        va: int,
+        pas: Sequence[int],
+        huge: bool = False,
+        map_id: int = 0,
+        flags: int = PteFlags.PRESENT | PteFlags.WRITABLE,
+    ) -> None:
+        """Install ``va + i * page -> pas[i]`` for every *i*, walking to
+        each leaf-level node once per span of up to 512 pages.
+
+        Same result as :meth:`map_page` called page by page: the first
+        page it would reject raises the same exception, with the pages
+        before it mapped.
+        """
+        shift = HUGE_SHIFT if huge else PAGE_SHIFT
+        align = (1 << shift) - 1
+        accepted = []
+        for pa in pas[: self.mappable(va, len(pas), huge, map_id)]:
+            if pa & align or not 0 <= pa >> PAGE_SHIFT <= _PFN_MASK:
+                break
+            accepted.append(pa)
+        ptes = []
+        if accepted:
+            full_flags = flags | PteFlags.PRESENT | (PteFlags.HUGE if huge else 0)
+            template = pack_pte(0, full_flags, map_id)
+            ptes = [pa | template for pa in accepted]
+        for done, n, first, node in self._spans(va, len(ptes), huge, create=True):
+            node.update(zip(range(first, first + n), ptes[done : done + n]))  # type: ignore[attr-defined]
+        if len(ptes) < len(pas):
+            failed = len(ptes)
+            self.map_page(va + (failed << shift), pas[failed], huge, map_id, flags)
+            raise AssertionError(f"map_page accepted page {failed} of a rejected run")
+
+    def unmap_run(self, va: int, count: int, huge: bool = False) -> None:
+        """Remove the *count* leaves from *va*, walking to each leaf-level
+        node once per span.
+
+        Same result as :meth:`unmap_page` called page by page: the first
+        page not mapped raises :class:`PageFaultError` (whose ``va`` names
+        it), with the pages before it unmapped.
+        """
+        shift = HUGE_SHIFT if huge else PAGE_SHIFT
+        for done, n, first, node in self._spans(va, count, huge):
+            span = range(first, first + n)
+            if isinstance(node, dict) and all(map(node.__contains__, span)):
+                for index in span:
+                    del node[index]
+                continue
+            # a page of this span is not mapped: fail at it, as a page loop would
+            for page in range(done, done + n):
+                self.unmap_page(va + (page << shift), huge)
 
     def walk(self, va: int) -> WalkResult:
         """Walk the tree; returns the leaf for *va*.

@@ -12,11 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.os.buddy import BuddyAllocator
+from repro.os.buddy import BuddyAllocator, OutOfMemoryError
 from repro.os.mmu import Mmu
 from repro.os.page_table import (
     HUGE_SHIFT,
     PAGE_SHIFT,
+    PageFaultError,
     PageTable,
     PteFlags,
 )
@@ -105,50 +106,68 @@ class AddressSpace:
             va=va, length=length, page_shift=page_shift, map_id=map_id, flags=flags
         )
         order = _HUGE_ORDER if huge else 0
+        n_pages = area.n_pages
+        # A page-by-page mmap takes one frame per page the table accepts,
+        # plus one for the page it rejects, if any.
+        take = min(n_pages, self.page_table.mappable(va, n_pages, huge, map_id) + 1)
+        moved = self.buddy.pages_moved
         try:
-            for index in range(area.n_pages):
-                if huge and compact:
-                    result = self.buddy.alloc_with_compaction(order)
-                    frame = result.frame
-                    self.compaction_moves += result.pages_moved
-                else:
-                    frame = self.buddy.alloc(order)
-                try:
-                    self.page_table.map_page(
-                        va + index * page_bytes,
-                        frame << PAGE_SHIFT,
-                        huge=huge,
-                        map_id=map_id,
-                        flags=flags,
-                    )
-                except Exception:
-                    self.buddy.free(frame)
-                    raise
-                area.frames.append(frame)
+            frames = self.buddy.alloc_run(order, take, compact=huge and compact)
+        except OutOfMemoryError as exc:
+            # the pages mapped before memory ran out are torn down again
+            self._map_frames(area, list(exc.frames))
+            self._tear_down(area, shoot_down=False)
+            raise
+        finally:
+            self.compaction_moves += self.buddy.pages_moved - moved
+        try:
+            self._map_frames(area, frames)
         except Exception:
-            self._rollback(area)
+            # every page but the last is mapped: the table rejected that one
+            self.buddy.free(frames[-1])
+            area.frames = frames[:-1]
+            self._tear_down(area, shoot_down=False)
             raise
         self.areas[va] = area
         return va
 
-    def _rollback(self, area: VmArea) -> None:
-        for index, frame in enumerate(area.frames):
-            self.page_table.unmap_page(
-                area.va + index * area.page_bytes,
-                huge=area.page_shift == HUGE_SHIFT,
-            )
-            self.buddy.free(frame)
+    def _map_frames(self, area: VmArea, frames: List[int]) -> None:
+        self.page_table.map_run(
+            area.va,
+            [frame << PAGE_SHIFT for frame in frames],
+            huge=area.page_shift == HUGE_SHIFT,
+            map_id=area.map_id,
+            flags=area.flags,
+        )
+        area.frames.extend(frames)
 
     def munmap(self, va: int) -> None:
         """Tear down the region starting at *va* and free its frames."""
         area = self.areas.pop(va, None)
         if area is None:
             raise ValueError(f"va {va:#x} is not the start of a mapped area")
-        for index, frame in enumerate(area.frames):
-            page_va = va + index * area.page_bytes
-            self.page_table.unmap_page(page_va, huge=area.page_shift == HUGE_SHIFT)
-            self.mmu.tlb.invalidate(page_va, area.page_shift)
-            self.buddy.free(frame)
+        self._tear_down(area, shoot_down=True)
+
+    def _tear_down(self, area: VmArea, shoot_down: bool) -> None:
+        """Unmap the area's pages, shoot down their TLB entries (with
+        *shoot_down*) and free their frames, as one run per structure.
+
+        Ends as a page-by-page teardown would when it fails: that stops
+        at the first page it cannot unmap, or right after unmapping the
+        first frame the allocator rejects (a frame compaction moved).
+        """
+        torn = min(len(area.frames), self.buddy.freeable(area.frames) + 1)
+        try:
+            self.page_table.unmap_run(
+                area.va, torn, huge=area.page_shift == HUGE_SHIFT
+            )
+        except PageFaultError as exc:
+            torn = (exc.va - area.va) >> area.page_shift
+            raise
+        finally:
+            if shoot_down:
+                self.mmu.tlb.invalidate_run(area.va, torn, area.page_shift)
+            self.buddy.free_run(area.frames[:torn])
 
     def set_area_map_id(self, va: int, page_index: int, map_id: int) -> None:
         """Re-route one huge page of the area at *va* through *map_id*:
